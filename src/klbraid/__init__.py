@@ -11,7 +11,8 @@ test suite and the ``klb selftest`` command play against each other:
   expression for i = 1 (`kl_c1`) and an alternating sum over flag
   Whitney numbers (`kl_coeff_via_pxy`);
 * a brute-force oracle that builds the whole partition lattice and runs
-  the generic defining recursion on it (`kl_polynomial_generic`).
+  the generic defining recursion on it (`kl_polynomial_generic`,
+  `braid_kl_generic`).
 
 All arithmetic is exact; there are no floats anywhere.
 """
@@ -27,6 +28,7 @@ from .kl_recursion import (
 )
 from .lattice_oracle import (
     RankedLattice,
+    braid_kl_generic,
     build_partition_lattice,
     char_poly,
     kl_polynomial_generic,
@@ -53,6 +55,7 @@ __all__ = [
     "OracleBoundError",
     "RankedLattice",
     "bell_number",
+    "braid_kl_generic",
     "build_partition_lattice",
     "char_poly",
     "enumerate_K",

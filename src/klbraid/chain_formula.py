@@ -8,7 +8,9 @@ where the inner sum runs over compositions with 1 <= d_k <= b_k summing to
 alpha_j + length(lam_j), m is the set-partition multiplicity and s is the
 signed Stirling number of the first kind.  Summing term values over the
 whole index set gives C_{n,i} without ever touching the recursion; the two
-routes agreeing is one of the package's core cross-checks.
+routes agreeing is one of the package's core cross-checks.  A link's
+value depends only on lam_j and its composition total, so it is evaluated
+once per process and shared by every triple that contains it.
 
 ``symbolic_expansion`` renders the same sum grouped by the top partition
 lam_1, in the shape of a worked table: ``m(3+1)s(3,3)s(1,1)`` style tokens,
@@ -46,42 +48,65 @@ class TermBreakdown:
     value: int
 
 
+# Link values keyed by (blocks, total).  The memo takes no lock: two threads
+# racing on one key both store the same exact int.
+_link_memo: dict[tuple[tuple[int, ...], int], int] = {}
+
+
+def _link_compositions(lam: IntPartition, total: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each bounded composition of ``total`` with its signed Stirling product.
+
+    An empty composition set is a degenerate (invalid) link and raises.
+    """
+    out = []
+    for comp in bounded_compositions(lam, total):
+        prod = 1
+        for b, d in zip(lam.blocks, comp):
+            prod *= stirling_first(b, d)
+        out.append((comp, prod))
+    if not out:
+        raise InternalConsistencyError(
+            f"degenerate link {lam} with total {total}: no compositions"
+        )
+    return out
+
+
+def _link_value(lam: IntPartition, total: int) -> int:
+    """m(lam) times the Stirling sum over bounded compositions of ``total``.
+
+    Memoized per (blocks, total) for the life of the process.  A degenerate
+    link raises on every call, since only values are stored.
+    """
+    key = (lam.blocks, total)
+    value = _link_memo.get(key)
+    if value is None:
+        inner = sum(prod for _, prod in _link_compositions(lam, total))
+        value = _link_memo[key] = multiplicity(lam) * inner
+    return value
+
+
 def term_value(triple: KLChainTriple, audit: bool = False) -> TermBreakdown:
-    """Evaluate one chain term exactly.
+    """Evaluate one chain term exactly, as the product of its link values.
 
     With ``audit=True`` every composition and its signed Stirling product is
-    retained; otherwise only the value is kept.  A link whose composition
-    set comes out empty is a degenerate (invalid) triple and raises.
+    retained as well; the value is the same product of link values.  A link
+    whose composition set comes out empty is a degenerate (invalid) triple
+    and raises.
     """
     value = 1
     factors = [] if audit else None
     for lam, alpha in zip(triple.Lambda, triple.A):
-        m = multiplicity(lam)
         total = alpha + lam.length
-        inner = 0
-        comps = [] if audit else None
-        seen = False
-        for comp in bounded_compositions(lam, total):
-            seen = True
-            prod = 1
-            for b, d in zip(lam.blocks, comp):
-                prod *= stirling_first(b, d)
-            inner += prod
-            if audit:
-                comps.append((comp, prod))
-        if not seen:
-            raise InternalConsistencyError(
-                f"degenerate link {lam} with total {total}: no compositions"
-            )
-        value *= m * inner
+        value *= _link_value(lam, total)
         if audit:
+            comps = _link_compositions(lam, total)
             factors.append(
                 FactorBreakdown(
                     lam=lam,
-                    m_value=m,
+                    m_value=multiplicity(lam),
                     total=total,
                     compositions=tuple(comps),
-                    inner_sum=inner,
+                    inner_sum=sum(prod for _, prod in comps),
                 )
             )
     return TermBreakdown(

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from math import factorial
@@ -53,6 +54,19 @@ def _ordered_map(fn, items):
         return list(pool.map(fn, items))
 
 
+_warn_lock = threading.Lock()
+
+
+def _warn_once(args, message: str) -> None:
+    # one stderr line per invocation, however many cells (on however many
+    # threads) raise the same bound
+    with _warn_lock:
+        if message in args.warned:
+            return
+        args.warned.add(message)
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _coeff_index_count(n: int) -> int:
     # number of meaningful coefficient positions: i with 2i < n - 1, plus i = 0
     return max(1, (n - 2) // 2 + 1) if n >= 2 else 1
@@ -72,10 +86,7 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
                 f"chain method capped at n <= {bound}; raise with --chain-max-n"
             )
         if bound > DEFAULT_CHAIN_MAX_N:
-            print(
-                f"warning: chain enumeration above n={DEFAULT_CHAIN_MAX_N} may be slow",
-                file=sys.stderr,
-            )
+            _warn_once(args, f"chain enumeration above n={DEFAULT_CHAIN_MAX_N} may be slow")
         return chain_formula.kl_coeff_via_chains(n, i)
     if method == "corollary":
         if i != 1:
@@ -96,15 +107,13 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
                 f"oracle method capped at n <= {bound}; raise with --oracle-max-n"
             )
         if bound > lattice_oracle.DEFAULT_GENERIC_KL_BOUND:
-            print(
-                f"warning: lattice recursion above n={lattice_oracle.DEFAULT_GENERIC_KL_BOUND}"
-                " may be slow",
-                file=sys.stderr,
+            _warn_once(
+                args,
+                f"lattice recursion above n={lattice_oracle.DEFAULT_GENERIC_KL_BOUND} may be slow",
             )
         if n < 2:
             raise UsageError("oracle method needs n >= 2")
-        L = lattice_oracle.build_partition_lattice(n, bound=max(n, 9))
-        return lattice_oracle.kl_polynomial_generic(L).coeff(i)
+        return lattice_oracle.braid_kl_generic(n, bound=max(n, 9)).coeff(i)
     raise UsageError(f"unknown method {method!r}")
 
 
@@ -361,8 +370,7 @@ def _selftest_checks(args):
     def check_generic_oracle():
         top = min(oracle_n, lattice_oracle.DEFAULT_GENERIC_KL_BOUND)
         for n in range(2, top + 1):
-            L = lattice_oracle.build_partition_lattice(n)
-            if lattice_oracle.kl_polynomial_generic(L) != kl_recursion.kl_braid_poly(n):
+            if lattice_oracle.braid_kl_generic(n) != kl_recursion.kl_braid_poly(n):
                 return False, f"lattice recursion off at n={n}"
         return True, f"n <= {top}"
 
@@ -519,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.warned = set()
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -22,6 +22,7 @@ elements is the default ceiling; the generic recursion is capped lower).
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator, Sequence
 
 from .errors import InternalConsistencyError, OracleBoundError
@@ -250,6 +251,25 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
             )
         cache[e] = p
     return cache[L.bottom]
+
+
+_braid_kl: dict[int, IntPoly] = {}
+_braid_kl_lock = threading.Lock()
+
+
+def braid_kl_generic(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> IntPoly:
+    """P_n by the generic recursion on the whole partition lattice of {1..n}.
+
+    Solved once per n per process.  Only the polynomial is kept, so the
+    lattice and its Moebius rows are freed after the solve.  ``bound`` caps
+    the lattice that a first call for n builds.  The lock keeps two threads
+    from building the same lattice at once, which would double peak memory.
+    """
+    with _braid_kl_lock:
+        p = _braid_kl.get(n)
+        if p is None:
+            p = _braid_kl[n] = kl_polynomial_generic(build_partition_lattice(n, bound))
+        return p
 
 
 def flag_whitney_bruteforce(L: RankedLattice, ranks: Sequence[int]) -> int:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InternalConsistencyError
-from .partitions import partitions_of, multiplicity
+from .partitions import IntPartition, multiplicity
 from .stirling import stirling_first, stirling_second
 
 
@@ -77,7 +77,7 @@ def kl_c1(n: int) -> int:
         raise ValueError("need n >= 2")
     via_second = stirling_second(n, 2) - stirling_second(n, n - 1)
     via_first = stirling_first(n, n - 1) + sum(
-        multiplicity(lam) for lam in partitions_of(n) if lam.length == 2
+        multiplicity(IntPartition([n - a, a])) for a in range(1, n // 2 + 1)
     )
     if via_second != via_first:
         raise InternalConsistencyError(

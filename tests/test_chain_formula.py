@@ -11,8 +11,10 @@ from klbraid.chain_formula import (
     term_text,
     term_value,
 )
-from klbraid.chains import enumerate_K
+from klbraid.chains import KLChainTriple, enumerate_K
+from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import kl_coeff
+from klbraid.partitions import IntPartition
 
 
 def test_base_value():
@@ -57,6 +59,29 @@ def test_term_breakdown_audit():
         assert fb.inner_sum == sum(v for _, v in fb.compositions)
         prod *= fb.m_value * fb.inner_sum
     assert bd.value == prod
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_audit_and_memoized_values_agree(n):
+    # the audit lists each link's compositions afresh; its factors must
+    # multiply to the memoized link values the plain path returns
+    for i in range((n - 2) // 2 + 1):
+        for t in enumerate_K(n, i):
+            bd = term_value(t, audit=True)
+            assert bd.value == term_value(t).value
+            prod = 1
+            for fb in bd.factors:
+                prod *= fb.m_value * fb.inner_sum
+            assert bd.value == prod
+
+
+def test_degenerate_link_raises_every_time():
+    # total 6 exceeds the size of the partition 2, so no composition exists;
+    # the failure must not be memoized as a value
+    bad = KLChainTriple((IntPartition([2]),), (5,), (0,))
+    for audit in (False, False, True):
+        with pytest.raises(InternalConsistencyError, match="degenerate link"):
+            term_value(bad, audit=audit)
 
 
 def test_group_values_six_two():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+from klbraid import cli, lattice_oracle
 from klbraid.kl_recursion import kl_braid_poly
 
 
@@ -88,6 +89,29 @@ def test_table_deterministic_across_thread_counts():
 def test_table_all_methods_agree():
     proc = run_cli("table", "--max-n", "7", "--all-methods", "--oracle-max-n", "5")
     assert proc.stderr == ""
+
+
+def test_slowness_warning_once_per_invocation():
+    plain = run_cli("table", "--max-n", "8", "--all-methods")
+    raised = run_cli("table", "--max-n", "8", "--all-methods", "--chain-max-n", "13")
+    assert raised.stdout == plain.stdout
+    assert raised.stderr.splitlines() == ["warning: chain enumeration above n=12 may be slow"]
+
+
+def test_table_solves_each_lattice_once(monkeypatch, capsys):
+    built = []
+    real_build = lattice_oracle.build_partition_lattice
+
+    def counting_build(n, *rest, **kw):
+        built.append(n)
+        return real_build(n, *rest, **kw)
+
+    monkeypatch.delenv("KLB_THREADS", raising=False)
+    monkeypatch.setattr(lattice_oracle, "build_partition_lattice", counting_build)
+    monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
+    assert cli.main(["table", "--max-n", "7", "--all-methods"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "2", "175"]
+    assert built == [2, 3, 4, 5, 6, 7]
 
 
 def test_chains_text_and_json():

@@ -61,6 +61,12 @@ def test_kl_c1_sweep():
         assert kl_c1(n) == kl_coeff(n, 1)
 
 
+def test_kl_c1_plain_int_closed_form():
+    # C(n,1) = 2^(n-1) - 1 - n(n-1)/2, far past the recursion sweep above
+    for n in range(2, 201):
+        assert kl_c1(n) == 2 ** (n - 1) - 1 - n * (n - 1) // 2, n
+
+
 def test_kl_c1_degenerate_prefix():
     # below n = 4 the degree bound kills the linear coefficient
     assert kl_c1(2) == 0
