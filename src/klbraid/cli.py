@@ -113,8 +113,14 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
             )
         if n < 2:
             raise UsageError("oracle method needs n >= 2")
-        return lattice_oracle.braid_kl_generic(n, bound=max(n, 9)).coeff(i)
+        return lattice_oracle.braid_kl_generic(n).coeff(i)
     raise UsageError(f"unknown method {method!r}")
+
+
+def _check_oracle_bound(args) -> None:
+    if args.oracle_max_n > lattice_oracle.DEFAULT_LATTICE_BOUND:
+        raise UsageError(f"--oracle-max-n is capped at {lattice_oracle.DEFAULT_LATTICE_BOUND}: "
+                         "the lattice's order bitmasks take about 2*Bell(n)^2 bits")
 
 
 def _applicable_methods(n: int, i: int, args):
@@ -131,6 +137,7 @@ def _applicable_methods(n: int, i: int, args):
 
 
 def cmd_coeff(args) -> int:
+    _check_oracle_bound(args)
     n, i = args.n, args.i
     if n < 1 or i < 0:
         raise UsageError("need n >= 1 and i >= 0")
@@ -210,6 +217,7 @@ def _emit_table(rows, fmt):
 
 
 def cmd_table(args) -> int:
+    _check_oracle_bound(args)
     if args.max_n < 2:
         raise UsageError("need --max-n >= 2")
     rows = _table_rows(args)

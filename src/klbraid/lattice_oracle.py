@@ -14,7 +14,8 @@ The Kazhdan-Lusztig recursion is solved directly on the lattice:
 The F = bottom term is P itself, so the remaining sum Q determines the low
 coefficients (degree < rk/2) as C_j = -[t^j] Q, and the high half of the
 identity is then verified exactly; any mismatch raises, since it means the
-input was not the lattice of flats of a matroid.
+input was not the lattice of flats of a matroid.  Q is regrouped by Moebius
+inversion, so the solve costs one vector sum per comparable pair.
 
 Scale: partition lattices up to the configured bound (Bell(9) = 21147
 elements is the default ceiling; the generic recursion is capped lower).
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator, Sequence
+from itertools import zip_longest
 
 from .errors import InternalConsistencyError, OracleBoundError
 from .partitions import _set_partitions_unchecked
@@ -166,8 +168,8 @@ def build_partition_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> Ranke
 
     The all-singletons partition is the bottom (rank 0); rank is n minus the
     number of blocks.  Order relations are generated constructively: the
-    partitions above x are exactly the merges of x's blocks, so only the
-    comparable pairs are ever touched.
+    partitions above x are x itself and everything above a merge of two of
+    its blocks, so each up-set is the union of its covers' up-sets.
     """
     if n < 2:
         raise ValueError("partition lattice needs n >= 2")
@@ -175,21 +177,17 @@ def build_partition_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> Ranke
         raise OracleBoundError(f"partition lattice capped at n <= {bound}, got {n}")
     elements = sorted(_set_partitions_unchecked(n), key=lambda p: (n - len(p), p))
     index = {p: i for i, p in enumerate(elements)}
-    ranks = [n - len(p) for p in elements]
-    ups = []
-    for part in elements:
-        k = len(part)
-        mask = 0
-        for pattern in _set_partitions_unchecked(k):
-            merged = tuple(
-                sorted(
-                    tuple(sorted(x for c in cls for x in part[c - 1]))
-                    for cls in pattern
-                )
-            )
-            mask |= 1 << index[merged]
-        ups.append(mask)
-    return RankedLattice(elements, ranks, ups)
+    # covers sit at higher indices; merging blocks a < b keeps a's position
+    ups = [0] * len(elements)
+    for i in range(len(elements) - 1, -1, -1):
+        part = elements[i]
+        mask = 1 << i
+        for b in range(1, len(part)):
+            for a in range(b):
+                merged = tuple(sorted(part[a] + part[b]))
+                mask |= ups[index[part[:a] + (merged,) + part[a + 1 : b] + part[b + 1 :]]]
+        ups[i] = mask
+    return RankedLattice(elements, [n - len(p) for p in elements], ups)
 
 
 def mobius(L: RankedLattice, x: int, y: int) -> int:
@@ -208,48 +206,42 @@ def char_poly(L: RankedLattice) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _interval_char_coeffs(L: RankedLattice, row: dict[int, int], x: int, f: int) -> IntPoly:
-    # chi of [x, f] read straight off the Moebius row of x
-    top_rank = L.ranks[f]
-    coeffs = [0] * (top_rank - L.ranks[x] + 1)
-    for a in _iter_bits(L.up[x] & L.down[f]):
-        coeffs[top_rank - L.ranks[a]] += row[a]
-    return IntPoly(coeffs)
+def _column_sums(vectors: list[Sequence[int]]) -> list[int]:
+    return [sum(col) for col in zip_longest(*vectors, fillvalue=0)]
 
 
 def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     """Kazhdan-Lusztig polynomial of a lattice, by the defining recursion.
 
-    Works upward from the top: the polynomial of each upper interval [F, top]
-    is solved from the intervals above it.  (The upper interval of G inside
-    [F, top] is again [G, top], so one table covers every recursive call.)
-    Raises InternalConsistencyError if the degree-constrained solve fails to
-    satisfy the full identity, which means the input is not the lattice of
-    flats of a matroid.
+    Solves P_e of each upper interval [e, top] from the intervals above it.
+    By Moebius inversion (the Z-polynomial regrouping of Proudfoot-Xu-Young),
+    Q_e = t^(-rank(e)) sum_{f > e} t^rank(f) P_f - sum_{f > e} (Q_f + P_f) for
+    whatever the table holds, pre-filled entries included, so two coefficient
+    vectors per element replace every interval.  Raises InternalConsistencyError
+    if the degree-constrained solve fails to satisfy the full identity, which
+    means the input is not the lattice of flats of a matroid.
     """
     cache = L._kl_upper
-    order = sorted(range(len(L)), key=lambda e: -L.ranks[e])
-    for e in order:
-        if e in cache:
-            continue
-        rk_e = L.rank - L.ranks[e]
-        if rk_e == 0:
-            cache[e] = IntPoly.one()
-            continue
-        row = L._mobius_row(e)
-        q = IntPoly()
-        for f in _iter_bits(L.up[e]):
-            if f == e:
-                continue
-            q = q + _interval_char_coeffs(L, row, e, f) * cache[f]
-        low = [-q.coeff(j) for j in range((rk_e + 1) // 2)]
-        p = IntPoly(low)
-        if p.reverse(rk_e) - p != q:
-            raise InternalConsistencyError(
-                f"degree-constrained solve inconsistent at element {e}; "
-                "input is not a geometric lattice"
-            )
-        cache[e] = p
+    T = [()] * len(L)  # t^rank(f) * P_f, by absolute degree
+    W = [()] * len(L)  # Q_f + P_f
+    for e in sorted(range(len(L)), key=lambda e: -L.ranks[e]):
+        r = L.ranks[e]
+        above = list(_iter_bits(L.up[e] ^ (1 << e)))
+        t_sum = _column_sums([T[f] for f in above])
+        w_sum = _column_sums([W[f] for f in above])
+        q = [a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0)]
+        p = cache.get(e)
+        if p is None:
+            rk_e = L.rank - r
+            p = IntPoly([-c for c in q[: (rk_e + 1) // 2]]) if rk_e else IntPoly.one()
+            if p.reverse(rk_e) - p != IntPoly(q):
+                raise InternalConsistencyError(
+                    f"degree-constrained solve inconsistent at element {e}; "
+                    "input is not a geometric lattice"
+                )
+            cache[e] = p
+        T[e] = (0,) * r + p.coeffs
+        W[e] = tuple(_column_sums([q, p.coeffs]))
     return cache[L.bottom]
 
 

@@ -114,6 +114,17 @@ def test_table_solves_each_lattice_once(monkeypatch, capsys):
     assert built == [2, 3, 4, 5, 6, 7]
 
 
+def test_oracle_bound_ceiling_fails_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice built despite the ceiling")
+
+    monkeypatch.setattr(lattice_oracle, "build_partition_lattice", refuse)
+    monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
+    assert cli.main(["coeff", "10", "1", "--method", "oracle", "--oracle-max-n", "10"]) == 2
+    assert cli.main(["table", "--max-n", "10", "--all-methods", "--oracle-max-n", "10"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_chains_text_and_json():
     out = run_cli("chains", "4", "1").stdout.splitlines()
     assert out[-1] == "3 triples for (n=4, i=1)"

@@ -4,19 +4,22 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klbraid.errors import InternalConsistencyError, OracleBoundError
 from klbraid.kl_recursion import kl_braid_poly
 from klbraid.lattice_oracle import (
     DEFAULT_LATTICE_BOUND,
     RankedLattice,
+    _iter_bits,
     build_partition_lattice,
     char_poly,
     flag_whitney_bruteforce,
     kl_polynomial_generic,
     mobius,
 )
-from klbraid.partitions import shape_of
+from klbraid.partitions import _set_partitions_unchecked, shape_of
 from klbraid.polynomial import IntPoly
 from klbraid.stirling import partition_char_poly, stirling_second
 
@@ -26,6 +29,53 @@ def boolean_lattice(n: int) -> RankedLattice:
     return RankedLattice.from_relation(
         subsets, [len(s) for s in subsets], lambda a, b: a <= b
     )
+
+
+def merges_partition_lattice(n: int) -> RankedLattice:
+    # reference builder: the up-set of a partition is every merge pattern of
+    # its blocks, one set partition of the blocks at a time
+    elements = sorted(_set_partitions_unchecked(n), key=lambda p: (n - len(p), p))
+    index = {p: i for i, p in enumerate(elements)}
+    ups = []
+    for part in elements:
+        mask = 0
+        for pattern in _set_partitions_unchecked(len(part)):
+            merged = tuple(
+                sorted(tuple(sorted(x for c in cls for x in part[c - 1])) for cls in pattern)
+            )
+            mask |= 1 << index[merged]
+        ups.append(mask)
+    return RankedLattice(elements, [n - len(p) for p in elements], ups)
+
+
+def chi_form_kl(L: RankedLattice) -> IntPoly:
+    # reference solve: Q_e = sum_{f > e} chi([e, f]) * P_f, each interval's
+    # characteristic polynomial read off the Moebius row of e
+    cache = L._kl_upper
+    for e in sorted(range(len(L)), key=lambda e: -L.ranks[e]):
+        if e in cache:
+            continue
+        rk_e = L.rank - L.ranks[e]
+        if rk_e == 0:
+            cache[e] = IntPoly.one()
+            continue
+        row = L._mobius_row(e)
+        q = IntPoly()
+        for f in _iter_bits(L.up[e]):
+            if f == e:
+                continue
+            chi = [0] * (L.ranks[f] - L.ranks[e] + 1)
+            for a in _iter_bits(L.up[e] & L.down[f]):
+                chi[L.ranks[f] - L.ranks[a]] += row[a]
+            q = q + IntPoly(chi) * cache[f]
+        p = IntPoly([-q.coeff(j) for j in range((rk_e + 1) // 2)])
+        if p.reverse(rk_e) - p != q:
+            raise InternalConsistencyError(
+                f"degree-constrained solve inconsistent at element {e}; "
+                "input is not a geometric lattice"
+            )
+        cache[e] = p
+    return cache[L.bottom]
 
 
 def test_partition_lattice_shape():
@@ -125,7 +175,45 @@ def test_interval_extremes():
         L.interval(L.top, L.bottom)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cover_closure_matches_all_merges(n):
+    L, ref = build_partition_lattice(n), merges_partition_lattice(n)
+    assert L.elements == ref.elements
+    assert L.ranks == ref.ranks
+    assert L.up == ref.up
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(build_partition_lattice, n) for n in range(2, 7)] + [(boolean_lattice, n) for n in range(1, 6)],
+)
+def test_generic_kl_matches_chi_form(make, n):
+    assert kl_polynomial_generic(make(n)) == chi_form_kl(make(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    poison=st.dictionaries(
+        st.integers(0, 51),
+        st.lists(st.integers(-3, 3), max_size=5),
+        max_size=3,
+    ),
+)
+def test_generic_kl_matches_chi_form_on_poisoned_tables(n, poison):
+    outcomes = []
+    for solve in (kl_polynomial_generic, chi_form_kl):
+        L = build_partition_lattice(n)
+        for e, coeffs in poison.items():
+            L._kl_upper[e % len(L)] = IntPoly(coeffs)
+        try:
+            outcomes.append(solve(L))
+        except InternalConsistencyError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_generic_kl_matches_fast_recursion(n):
     assert kl_polynomial_generic(build_partition_lattice(n)) == kl_braid_poly(n)
 
