@@ -178,85 +178,3 @@ def enumerate_K(n: int, i: int) -> Iterator[KLChainTriple]:
         raise ValueError(f"coefficient index {i} outside [0, (n-1)/2) for n={n}")
     return iter(_k_list(n, i))
 
-
-# --- empirical report on the closed form for xi ---------------------------
-
-@dataclass
-class ReadingStats:
-    agree: int = 0
-    disagree: int = 0
-    examples: list[tuple[KLChainTriple, int, int, int]] = None  # (triple, j, want, got)
-
-    def __post_init__(self):
-        if self.examples is None:
-            self.examples = []
-
-
-@dataclass
-class XiFormulaReport:
-    n: int
-    i: int
-    positions: int
-    readings: dict[str, ReadingStats]
-
-
-def _xi_closed_corrected(triple: KLChainTriple, j: int) -> int:
-    # Unrolling (iv) from the terminal xi_q = 0 gives, for 1 <= j <= q:
-    # xi_j = sum_{d=0}^{q-j-1} (-1)^d length(lam_{j+d})
-    #        + sum_{d=1}^{q-j} (-1)^d alpha_{j+d}
-    #        - (1 - (-1)^(q-j)) / 2
-    q = triple.q
-    s = 0
-    for d in range(q - j):
-        s += (-1) ** d * triple.Lambda[j - 1 + d].length
-    for d in range(1, q - j + 1):
-        s += (-1) ** d * triple.A[j - 1 + d]
-    s -= (1 - (-1) ** (q - j)) // 2
-    return s
-
-
-def _xi_closed_literal(triple: KLChainTriple, j: int) -> int:
-    # Variant reading in which both sums repeat a fixed term (the summation
-    # index never reaches the summand) and the parity correction carries the
-    # opposite sign inside.  Kept only so the report can show it failing.
-    q = triple.q
-    s = 0
-    if j < q:
-        l_next = triple.Lambda[j].length
-        a_next = triple.A[j]
-        for d in range(q - j):
-            s += (-1) ** d * l_next
-        for _ in range(1, q - j + 1):
-            s += (-1) ** j * a_next
-    s -= (1 + (-1) ** (q - j)) // 2
-    return s
-
-
-_XI_READINGS = {
-    "corrected": _xi_closed_corrected,
-    "literal": _xi_closed_literal,
-}
-
-
-def verify_xi_closed_form(n: int, i: int, max_examples: int = 5) -> XiFormulaReport:
-    """Evaluate candidate closed forms for xi_j against every enumerated chain.
-
-    Purely observational: the enumeration never consults these formulas, and
-    nothing downstream gates on this report.
-    """
-    readings = {name: ReadingStats() for name in _XI_READINGS}
-    positions = 0
-    for triple in enumerate_K(n, i):
-        for j in range(1, triple.q + 1):
-            positions += 1
-            want = triple.Xi[j - 1]
-            for name, fn in _XI_READINGS.items():
-                got = fn(triple, j)
-                stats = readings[name]
-                if got == want:
-                    stats.agree += 1
-                else:
-                    stats.disagree += 1
-                    if len(stats.examples) < max_examples:
-                        stats.examples.append((triple, j, want, got))
-    return XiFormulaReport(n=n, i=i, positions=positions, readings=readings)

@@ -5,9 +5,7 @@ Subcommands: ``coeff``, ``poly``, ``table``, ``chains``, ``expand``,
 disagreement or mandatory self-test failure, 2 usage error.
 
 Output is deterministic: identical invocations produce byte-identical
-output.  ``KLB_THREADS`` caps the worker pool used for grid-shaped work
-(table rows, self-test grids); results are reduced in input order, so the
-parallelism degree never changes the bytes.
+output.
 """
 
 from __future__ import annotations
@@ -15,10 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -36,34 +31,11 @@ class UsageError(Exception):
     pass
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KLB_THREADS", "")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(1, val)
-
-
-def _ordered_map(fn, items):
-    items = list(items)
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-_warn_lock = threading.Lock()
-
-
 def _warn_once(args, message: str) -> None:
-    # one stderr line per invocation, however many cells (on however many
-    # threads) raise the same bound
-    with _warn_lock:
-        if message in args.warned:
-            return
-        args.warned.add(message)
+    # one stderr line per invocation, however many cells raise the same bound
+    if message in args.warned:
+        return
+    args.warned.add(message)
     print(f"warning: {message}", file=sys.stderr)
 
 
@@ -167,26 +139,24 @@ def cmd_poly(args) -> int:
     return 0
 
 
+def _table_row(n: int, i: int, args):
+    if args.all_methods:
+        vals = [
+            (m, _coeff_by_method(m, n, i, args))
+            for m in _applicable_methods(n, i, args)
+        ]
+        base = vals[0][1]
+        bad = [(m, v) for m, v in vals if v != base]
+        return (n, i, base, bad)
+    return (n, i, kl_recursion.kl_coeff(n, i), [])
+
+
 def _table_rows(args):
-    cells = [
-        (n, i)
+    return [
+        _table_row(n, i, args)
         for n in range(2, args.max_n + 1)
         for i in range(_coeff_index_count(n))
     ]
-
-    def one(cell):
-        n, i = cell
-        if args.all_methods:
-            vals = [
-                (m, _coeff_by_method(m, n, i, args))
-                for m in _applicable_methods(n, i, args)
-            ]
-            base = vals[0][1]
-            bad = [(m, v) for m, v in vals if v != base]
-            return (n, i, base, bad)
-        return (n, i, kl_recursion.kl_coeff(n, i), [])
-
-    return _ordered_map(one, cells)
 
 
 def _emit_table(rows, fmt):
@@ -359,19 +329,13 @@ def _selftest_checks(args):
         return True, f"n <= {top}, shape census and Bell totals"
 
     def check_method_grid():
-        grid_rows = [
+        bad = [
             (n, i)
             for n in range(2, min(max_n, args.chain_max_n) + 1)
             for i in range(_coeff_index_count(n))
+            if chain_formula.kl_coeff_via_chains(n, i) != kl_recursion.kl_coeff(n, i)
         ]
-
-        def one(cell):
-            n, i = cell
-            return chain_formula.kl_coeff_via_chains(n, i) == kl_recursion.kl_coeff(n, i)
-
-        oks = _ordered_map(one, grid_rows)
-        if not all(oks):
-            bad = [c for c, ok in zip(grid_rows, oks) if not ok]
+        if bad:
             return False, f"chain vs recursion mismatch at {bad[:5]}"
         return True, f"chain vs recursion, n <= {min(max_n, args.chain_max_n)}"
 

@@ -249,18 +249,19 @@ _braid_kl: dict[int, IntPoly] = {}
 _braid_kl_lock = threading.Lock()
 
 
-def braid_kl_generic(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> IntPoly:
+def braid_kl_generic(n: int) -> IntPoly:
     """P_n by the generic recursion on the whole partition lattice of {1..n}.
 
     Solved once per n per process.  Only the polynomial is kept, so the
-    lattice and its Moebius rows are freed after the solve.  ``bound`` caps
-    the lattice that a first call for n builds.  The lock keeps two threads
-    from building the same lattice at once, which would double peak memory.
+    lattice is freed after the solve.  The lattice is built under
+    ``build_partition_lattice``'s default cap, ``DEFAULT_LATTICE_BOUND``.
+    The lock keeps two threads from building the same lattice at once,
+    which would double peak memory.
     """
     with _braid_kl_lock:
         p = _braid_kl.get(n)
         if p is None:
-            p = _braid_kl[n] = kl_polynomial_generic(build_partition_lattice(n, bound))
+            p = _braid_kl[n] = kl_polynomial_generic(build_partition_lattice(n))
         return p
 
 

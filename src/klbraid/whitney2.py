@@ -15,22 +15,29 @@ product; the lattice oracle counts the same chains by brute force.
 form) with the agreement asserted on every call.
 
 The alternating triple sum expressing a general C_{n,i} through flag
-Whitney numbers admits several defensible index pairings, and the obvious
-candidates disagree: pairing each entry with the following index breaks on
-small cases, and a bare Stirling product with no rank complement evaluates
-to 0 already at i = 1.  Rather than guess silently, every defensible
-reading lives in a registry under a name, the readings are scored against
-the recursion on a validation grid, and the one that matches is promoted
-to the default.  The shared skeleton for all readings: for
-1 <= i < (n-1)/2, with N = n - 1,
+Whitney numbers admits several index pairings, and the obvious candidates
+disagree.  Two readings are kept in a registry under a name, the pairing
+that survives the validation grid (``w-rank-prev``, the default) and the
+same pairing expanded directly into Stirling products
+(``product-shifted``); ``pxy_grid_report`` scores both against the
+recursion.  The shared skeleton: for 1 <= i < (n-1)/2, with N = n - 1,
 
     C_{n,i} = sum_{r=1}^{i} sum_{D subset of {1..r}} (-1)^|D|
               sum over 0 = a_0 < a_1 < ... < a_r = i < a_{r+1} = N - i
               of a flag Whitney value built from a and the skip function
               t_j(D) = min{k >= j : k not in D}.
 
-Readings differ in which a-entries pair up inside the flag index and in
-whether D ranges over all subsets or proper ones.
+Readings differ in which a-entries pair up inside the flag index.  Three
+other readings were scored on the grid n <= 10, i <= 2 and dropped; each
+is recorded with its first miss, as (n, i): got vs want:
+
+    w-rank-prev-proper  as w-rank-prev, D over proper subsets only:
+                        (4, 1): 7 vs 1
+    w-rank-next         flag entries N - (a[t_j(D)] + a[j+1]), paired
+                        with the following index: (5, 1): 1 vs 5
+    product-literal     bare product over j = 0..r-1 of second-kind
+                        factors S(a[t_j] + a[j+1], a[t_{j+1}] + a[j+1]),
+                        no rank complement: (4, 1): 0 vs 1
 """
 
 from __future__ import annotations
@@ -103,12 +110,11 @@ class PXYIndexData:
         return k
 
 
-def _cells(n: int, i: int, proper_subsets: bool = False) -> Iterator[PXYIndexData]:
+def _cells(n: int, i: int) -> Iterator[PXYIndexData]:
     N = n - 1
     for r in range(1, i + 1):
         subsets = []
-        top = r if not proper_subsets else r - 1
-        for size in range(0, top + 1):
+        for size in range(0, r + 1):
             subsets.extend(combinations(range(1, r + 1), size))
         for D in subsets:
             for middle in combinations(range(1, i), r - 1):
@@ -136,40 +142,6 @@ def _read_w_rank_prev(n: int, i: int) -> int:
             N - (cell.a[cell.t(j)] + cell.a[j - 1]) for j in range(cell.r, 0, -1)
         )
         total += (-1) ** len(cell.D) * _w_tolerant(n, idx)
-    return total
-
-
-def _read_w_rank_prev_proper(n: int, i: int) -> int:
-    N = n - 1
-    total = 0
-    for cell in _cells(n, i, proper_subsets=True):
-        idx = tuple(
-            N - (cell.a[cell.t(j)] + cell.a[j - 1]) for j in range(cell.r, 0, -1)
-        )
-        total += (-1) ** len(cell.D) * _w_tolerant(n, idx)
-    return total
-
-
-def _read_w_rank_next(n: int, i: int) -> int:
-    # pairs a_{t_j(D)} with the *following* a_{j+1} instead of the preceding one
-    N = n - 1
-    total = 0
-    for cell in _cells(n, i):
-        raw = [N - (cell.a[cell.t(j)] + cell.a[j + 1]) for j in range(cell.r, 0, -1)]
-        total += (-1) ** len(cell.D) * _w_tolerant(n, tuple(raw))
-    return total
-
-
-def _read_product_literal(n: int, i: int) -> int:
-    # bare Stirling product, arguments not complemented against the rank
-    total = 0
-    for cell in _cells(n, i):
-        prod = 1
-        for j in range(cell.r):
-            prod *= stirling_second(
-                cell.a[cell.t(j)] + cell.a[j + 1], cell.a[cell.t(j + 1)] + cell.a[j + 1]
-            )
-        total += (-1) ** len(cell.D) * prod
     return total
 
 
@@ -207,21 +179,6 @@ INTERPRETATIONS: dict[str, Interpretation] = {
             "product-shifted",
             _read_product_shifted,
             "same pairing expanded into second-kind Stirling products directly",
-        ),
-        Interpretation(
-            "w-rank-prev-proper",
-            _read_w_rank_prev_proper,
-            "as w-rank-prev but D over proper subsets only",
-        ),
-        Interpretation(
-            "w-rank-next",
-            _read_w_rank_next,
-            "flag entries N - (a[t_j(D)] + a[j+1]), paired with the following index",
-        ),
-        Interpretation(
-            "product-literal",
-            _read_product_literal,
-            "bare product of second-kind factors, no rank complement",
         ),
     )
 }
@@ -278,11 +235,3 @@ def pxy_grid_report(max_n: int = 10, max_i: int = 2) -> dict[str, GridResult]:
         out[name] = GridResult(name=name, checked=len(cells), mismatches=mism)
     return out
 
-
-def promote_default_interpretation(max_n: int = 10, max_i: int = 2) -> str | None:
-    """Name of the first registered reading that survives the grid, if any."""
-    report = pxy_grid_report(max_n=max_n, max_i=max_i)
-    for name in INTERPRETATIONS:
-        if report[name].matches:
-            return name
-    return None

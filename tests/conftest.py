@@ -1,9 +1,16 @@
-"""Shared pytest config: a summary block mapping each acceptance test to a
-single pass/fail line, printed after the normal test output."""
+"""Shared pytest config: a fixed hypothesis profile, and a summary block
+mapping each acceptance test to a single pass/fail line, printed after the
+normal test output."""
 
 from __future__ import annotations
 
 import re
+
+from hypothesis import settings
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("klbraid", derandomize=True, database=None)
+settings.load_profile("klbraid")
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 

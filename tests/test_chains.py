@@ -8,7 +8,6 @@ from klbraid.chains import (
     canonical_key,
     enumerate_K,
     validate_triple,
-    verify_xi_closed_form,
     xi_upper_bound,
 )
 from klbraid.partitions import IntPartition
@@ -122,12 +121,28 @@ def test_str_rendering():
     assert str(t) == "(Lambda=[3+1, 2], A=[2, 0], Xi=[1, 0])"
 
 
-def test_xi_closed_form_report():
-    rep = verify_xi_closed_form(8, 2)
-    assert rep.positions > 0
-    corrected = rep.readings["corrected"]
-    assert corrected.agree == rep.positions
-    assert corrected.disagree == 0
-    literal = rep.readings["literal"]
-    assert literal.agree + literal.disagree == rep.positions
-    assert literal.examples  # the repeated-term reading does fail somewhere
+def xi_closed_form(t, j):
+    # Unrolling (iv) from the terminal xi_q = 0 gives, for 1 <= j <= q:
+    # xi_j = sum_{d=0}^{q-j-1} (-1)^d length(lam_{j+d})
+    #        + sum_{d=1}^{q-j} (-1)^d alpha_{j+d}
+    #        - (1 - (-1)^(q-j)) / 2
+    q = t.q
+    s = 0
+    for d in range(q - j):
+        s += (-1) ** d * t.Lambda[j - 1 + d].length
+    for d in range(1, q - j + 1):
+        s += (-1) ** d * t.A[j - 1 + d]
+    s -= (1 - (-1) ** (q - j)) // 2
+    return s
+
+
+def test_xi_closed_form_matches_every_position():
+    parities = set()
+    for n in range(2, 11):
+        for i in range(0, (n - 2) // 2 + 1):
+            for t in enumerate_K(n, i):
+                for j in range(1, t.q + 1):
+                    assert xi_closed_form(t, j) == t.Xi[j - 1], (n, i, t, j)
+                    parities.add((t.q - j) % 2)
+    # both signs of the parity correction are exercised
+    assert parities == {0, 1}

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -9,16 +8,11 @@ from klbraid import cli, lattice_oracle
 from klbraid.kl_recursion import kl_braid_poly
 
 
-def run_cli(*args, env_extra=None, check=True):
-    env = dict(os.environ)
-    env.pop("KLB_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "klbraid", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -77,15 +71,6 @@ def test_table_md_and_json():
     assert blob[-1] == {"n": 5, "i": 1, "c": "5"}
 
 
-def test_table_deterministic_across_thread_counts():
-    runs = [
-        run_cli("table", "--max-n", "9", "--format", "csv",
-                env_extra={"KLB_THREADS": threads}).stdout
-        for threads in ("1", "4")
-    ]
-    assert runs[0] == runs[1]
-
-
 def test_table_all_methods_agree():
     proc = run_cli("table", "--max-n", "7", "--all-methods", "--oracle-max-n", "5")
     assert proc.stderr == ""
@@ -106,7 +91,6 @@ def test_table_solves_each_lattice_once(monkeypatch, capsys):
         built.append(n)
         return real_build(n, *rest, **kw)
 
-    monkeypatch.delenv("KLB_THREADS", raising=False)
     monkeypatch.setattr(lattice_oracle, "build_partition_lattice", counting_build)
     monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
     assert cli.main(["table", "--max-n", "7", "--all-methods"]) == 0
@@ -144,8 +128,8 @@ def test_expand_text_and_json():
 
 def test_pxy_readings_listing():
     out = run_cli("pxy-readings").stdout
-    assert "w-rank-prev (default)" in out
-    assert "product-literal" in out
+    names = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert names == ["w-rank-prev (default)", "product-shifted"]
 
 
 def test_selftest_passes():

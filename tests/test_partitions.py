@@ -4,6 +4,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from klbraid.errors import OracleBoundError
 from klbraid.partitions import (
@@ -146,3 +148,17 @@ def test_bounded_compositions_order_and_edges():
     assert list(bounded_compositions(lam, 5)) == []
     assert list(bounded_compositions(lam, 1)) == []
     assert list(bounded_compositions(lam, 0)) == []
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(st.sampled_from(list(partitions_of(n))),
+                        st.integers(min_value=0, max_value=n + 1))))
+def test_bounded_compositions_match_brute_force(case):
+    lam, total = case
+    want = [
+        c
+        for c in product(*(range(1, b + 1) for b in lam.blocks))
+        if sum(c) == total
+    ]
+    # same tuples in the same (ascending lexicographic) order
+    assert list(bounded_compositions(lam, total)) == want

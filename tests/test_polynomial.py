@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from klbraid.errors import InternalConsistencyError
 from klbraid.polynomial import IntPoly
@@ -111,3 +113,37 @@ def test_big_coefficients_stay_exact():
     big = 10**60 + 7
     p = IntPoly([big]) * IntPoly([big])
     assert p.coeff(0) == big * big
+
+
+coeffs = st.integers(min_value=-(10**30), max_value=10**30)
+polys = st.lists(coeffs, max_size=8).map(IntPoly)
+scalars = st.integers(min_value=-(10**12), max_value=10**12)
+
+
+@given(polys, polys, polys)
+def test_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a - a == IntPoly.zero()
+    assert a * IntPoly.one() == a
+
+
+@given(polys, scalars, scalars)
+def test_int_scalars(a, k, m):
+    assert k * a == a * k == a * IntPoly([k])
+    assert k * a + m * a == (k + m) * a
+    assert k * (m * a) == (k * m) * a
+
+
+@given(polys, st.integers(min_value=0, max_value=12))
+def test_reverse_is_an_involution(p, extra):
+    d = max(p.degree, 0) + extra
+    assert p.reverse(d).reverse(d) == p
+
+
+@given(polys)
+def test_json_round_trip(p):
+    assert IntPoly.from_json_obj(p.to_json_obj()) == p

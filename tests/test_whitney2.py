@@ -10,10 +10,10 @@ from klbraid.stirling import stirling_second
 from klbraid.whitney2 import (
     DEFAULT_PXY_INTERPRETATION,
     INTERPRETATIONS,
+    Interpretation,
     flag_whitney_product,
     kl_c1,
     kl_coeff_via_pxy,
-    promote_default_interpretation,
     pxy_grid_report,
 )
 
@@ -92,26 +92,23 @@ def test_pxy_rejects_out_of_range():
 
 def test_registry_contents():
     assert DEFAULT_PXY_INTERPRETATION in INTERPRETATIONS
-    assert set(INTERPRETATIONS) == {
-        "w-rank-prev",
-        "product-shifted",
-        "w-rank-prev-proper",
-        "w-rank-next",
-        "product-literal",
-    }
+    assert set(INTERPRETATIONS) == {"w-rank-prev", "product-shifted"}
     for name, it in INTERPRETATIONS.items():
         assert it.name == name
         assert it.summary
 
 
-def test_grid_report_scores_every_reading():
+def test_grid_report_scores_every_reading(monkeypatch):
+    # a reading that sums to zero everywhere misses at the first grid cell
+    zero = Interpretation("zero", lambda n, i: 0, "always 0")
+    monkeypatch.setitem(INTERPRETATIONS, "zero", zero)
     report = pxy_grid_report(max_n=8, max_i=2)
     assert set(report) == set(INTERPRETATIONS)
     assert report["w-rank-prev"].matches
     assert report["product-shifted"].matches
-    assert not report["product-literal"].matches
+    assert not report["zero"].matches
     # mismatches carry (n, i, got, want) diagnostics
-    n, i, got, want = report["product-literal"].mismatches[0]
+    n, i, got, want = report["zero"].mismatches[0]
     assert (n, i) == (4, 1)
     assert got == 0 and want == 1
 
@@ -125,8 +122,3 @@ def test_equivalent_readings_agree_beyond_the_grid():
                 assert kl_coeff_via_pxy(n, i, "w-rank-prev") == kl_coeff_via_pxy(
                     n, i, "product-shifted"
                 )
-
-
-def test_promotion_returns_first_matching_reading():
-    assert promote_default_interpretation(max_n=8, max_i=2) == "w-rank-prev"
-    assert promote_default_interpretation() == DEFAULT_PXY_INTERPRETATION
