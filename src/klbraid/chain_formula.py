@@ -8,9 +8,16 @@ where the inner sum runs over compositions with 1 <= d_k <= b_k summing to
 alpha_j + length(lam_j), m is the set-partition multiplicity and s is the
 signed Stirling number of the first kind.  Summing term values over the
 whole index set gives C_{n,i} without ever touching the recursion; the two
-routes agreeing is one of the package's core cross-checks.  A link's
-value depends only on lam_j and its composition total, so it is evaluated
-once per process and shared by every triple that contains it.
+routes agreeing is one of the package's core cross-checks.
+
+The sum is factored through the index set's own recursion: a triple is a
+head (lam_1, alpha_1, xi_1) followed by a triple for (length(lam_1), xi_1),
+so C_{n,i} = sum over heads of link(lam_1, alpha_1 + length(lam_1)) times
+the chain sum for (length(lam_1), xi_1), or times 1 when xi_1 = 0.  Chain
+sums are memoized per (n, i) and no triple is built.  A link's values for
+every total come from one row per partition: the product over blocks b of
+sum_{d=1..b} s(b, d) x^d, times m(lam), whose x^total coefficient is the
+composition sum above.  Triples are enumerated only to list or audit them.
 
 ``symbolic_expansion`` renders the same sum grouped by the top partition
 lam_1, in the shape of a worked table: ``m(3+1)s(3,3)s(1,1)`` style tokens,
@@ -22,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chains import KLChainTriple, enumerate_K
+from .chains import KLChainTriple, _check_index, chain_heads, enumerate_K
 from .errors import InternalConsistencyError
 from .partitions import IntPartition, bounded_compositions, multiplicity
 from .stirling import stirling_first
@@ -48,41 +55,53 @@ class TermBreakdown:
     value: int
 
 
-# Link values keyed by (blocks, total).  The memo takes no lock: two threads
-# racing on one key both store the same exact int.
-_link_memo: dict[tuple[tuple[int, ...], int], int] = {}
+# One row per partition, keyed by blocks: entry `total` is the link value.
+# The memos take no lock: two threads racing on one key store equal values.
+_link_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+_chain_sums: dict[tuple[int, int], int] = {}
 
 
 def _link_compositions(lam: IntPartition, total: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each bounded composition of ``total`` with its signed Stirling product.
-
-    An empty composition set is a degenerate (invalid) link and raises.
-    """
+    """Each bounded composition of ``total`` with its signed Stirling product."""
     out = []
     for comp in bounded_compositions(lam, total):
         prod = 1
         for b, d in zip(lam.blocks, comp):
             prod *= stirling_first(b, d)
         out.append((comp, prod))
-    if not out:
-        raise InternalConsistencyError(
-            f"degenerate link {lam} with total {total}: no compositions"
-        )
     return out
+
+
+def _link_row(lam: IntPartition) -> tuple[int, ...]:
+    """m(lam) times the product over blocks b of sum_{d=1..b} s(b, d) x^d."""
+    row = _link_rows.get(lam.blocks)
+    if row is None:
+        acc = [1]
+        for b in lam.blocks:
+            factor = [stirling_first(b, d) for d in range(1, b + 1)]
+            nxt = [0] * (len(acc) + b)
+            for j, a in enumerate(acc):
+                if a:
+                    for d, s in enumerate(factor, start=j + 1):
+                        nxt[d] += a * s
+            acc = nxt
+        m = multiplicity(lam)
+        row = _link_rows[lam.blocks] = tuple(m * c for c in acc)
+    return row
 
 
 def _link_value(lam: IntPartition, total: int) -> int:
     """m(lam) times the Stirling sum over bounded compositions of ``total``.
 
-    Memoized per (blocks, total) for the life of the process.  A degenerate
-    link raises on every call, since only values are stored.
+    A total outside [length(lam), size(lam)] has no composition: that is a
+    degenerate (invalid) link and raises on every call.  The check comes
+    before the row is read, since a negative total would index from the end.
     """
-    key = (lam.blocks, total)
-    value = _link_memo.get(key)
-    if value is None:
-        inner = sum(prod for _, prod in _link_compositions(lam, total))
-        value = _link_memo[key] = multiplicity(lam) * inner
-    return value
+    if not lam.length <= total <= lam.size:
+        raise InternalConsistencyError(
+            f"degenerate link {lam} with total {total}: no compositions"
+        )
+    return _link_row(lam)[total]
 
 
 def term_value(triple: KLChainTriple, audit: bool = False) -> TermBreakdown:
@@ -90,8 +109,7 @@ def term_value(triple: KLChainTriple, audit: bool = False) -> TermBreakdown:
 
     With ``audit=True`` every composition and its signed Stirling product is
     retained as well; the value is the same product of link values.  A link
-    whose composition set comes out empty is a degenerate (invalid) triple
-    and raises.
+    with no composition is a degenerate (invalid) triple and raises.
     """
     value = 1
     factors = [] if audit else None
@@ -114,14 +132,28 @@ def term_value(triple: KLChainTriple, audit: bool = False) -> TermBreakdown:
     )
 
 
+def _chain_sum(n: int, i: int) -> int:
+    """Sum of term values over the index set for (n, i), factored by head."""
+    key = (n, i)
+    value = _chain_sums.get(key)
+    if value is None:
+        value = 0
+        for lam, alpha, xi in chain_heads(n, i):
+            link = _link_value(lam, alpha + lam.length)
+            value += link * _chain_sum(lam.length, xi) if xi else link
+        _chain_sums[key] = value
+    return value
+
+
 def kl_coeff_via_chains(n: int, i: int) -> int:
-    """C_{n,i} as the plain sum of chain term values.
+    """C_{n,i} as the sum of chain term values over the index set.
 
     Same domain as the enumeration: n >= 2, 0 <= i < (n-1)/2.  Degree
     positions outside that window are not meaningful here (use the recursion,
     which just reads off a zero coefficient).
     """
-    return sum(term_value(t).value for t in enumerate_K(n, i))
+    _check_index(n, i)
+    return _chain_sum(n, i)
 
 
 # --- worked-table rendering -------------------------------------------------

@@ -20,11 +20,16 @@ hits zero.  Note (v) forces every lam_j to have at least one block of size
 2 or more whenever alpha demands headroom; in particular the chain for
 (2, 0) is unique and the all-singletons start is impossible.
 
-Enumeration is a depth-first walk over lam_1 with the (alpha, xi) split
-window computed from (v) and (vii); positive xi recurses into the index set
-for (length(lam_1), xi_1), which is memoized, so shared tails are built
-once.  Output is sorted into a canonical order: by chain length q, then by
-the partition chain in reverse lexicographic order, then by A.
+The index set is recursive: a triple for (n, i) is a head (lam_1, alpha_1,
+xi_1) allowed by (i), (iii), (v), (vi) and (vii), followed, when xi_1 > 0,
+by a triple for (length(lam_1), xi_1).  ``chain_heads`` walks the heads;
+it is the one place those conditions are applied, both by the enumeration
+here and by the factored chain sum in ``chain_formula``, which never builds
+a triple.  Triples are materialized only for listing (``enumerate_K``,
+behind the ``chains`` and ``expand`` commands): each head is joined to the
+memoized index set for its tail, so shared tails are built once.  Output is
+sorted into a canonical order: by chain length q, then by the partition
+chain in reverse lexicographic order, then by A.
 """
 
 from __future__ import annotations
@@ -126,6 +131,31 @@ def canonical_key(triple: KLChainTriple):
     )
 
 
+def _check_index(n: int, i: int) -> None:
+    """Reject (n, i) outside the index set's domain n >= 2, 0 <= i < (n - 1)/2."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if i < 0 or 2 * i >= n - 1:
+        raise ValueError(f"coefficient index {i} outside [0, (n-1)/2) for n={n}")
+
+
+def chain_heads(n: int, i: int) -> Iterator[tuple[IntPartition, int, int]]:
+    """Each head (lam_1, alpha_1, xi_1) of a chain triple for (n, i).
+
+    Yields every split allowed by (i), (iii), (v), (vi) and (vii), partitions
+    in reverse lexicographic order and xi_1 ascending.  A head with xi_1 > 0
+    continues with a triple for (length(lam_1), xi_1), which (vii) keeps in
+    range; xi_1 = 0 ends the chain.
+    """
+    target = n - 1 - i
+    for lam1 in partitions_of(n):
+        headroom = lam1.size - lam1.length
+        for xi1 in range(xi_upper_bound(lam1.length) + 1):
+            alpha1 = target - xi1
+            if 0 <= alpha1 <= headroom:
+                yield lam1, alpha1, xi1
+
+
 _memo: dict[tuple[int, int], tuple[KLChainTriple, ...]] = {}
 _memo_lock = threading.RLock()
 
@@ -139,27 +169,19 @@ def _k_list(n: int, i: int) -> tuple[KLChainTriple, ...]:
         got = _memo.get(key)
         if got is not None:
             return got
-        target = n - 1 - i
         out = []
-        for lam1 in partitions_of(n):
-            headroom = lam1.size - lam1.length
-            for xi1 in range(xi_upper_bound(lam1.length) + 1):
-                alpha1 = target - xi1
-                if not 0 <= alpha1 <= headroom:
-                    continue
-                if xi1 == 0:
-                    out.append(KLChainTriple((lam1,), (alpha1,), (0,)))
-                else:
-                    # (vii) guarantees the sub-problem is in range:
-                    # xi1 < (length - 1)/2
-                    for tail in _k_list(lam1.length, xi1):
-                        out.append(
-                            KLChainTriple(
-                                (lam1,) + tail.Lambda,
-                                (alpha1,) + tail.A,
-                                (xi1,) + tail.Xi,
-                            )
+        for lam1, alpha1, xi1 in chain_heads(n, i):
+            if xi1 == 0:
+                out.append(KLChainTriple((lam1,), (alpha1,), (0,)))
+            else:
+                for tail in _k_list(lam1.length, xi1):
+                    out.append(
+                        KLChainTriple(
+                            (lam1,) + tail.Lambda,
+                            (alpha1,) + tail.A,
+                            (xi1,) + tail.Xi,
                         )
+                    )
         out.sort(key=canonical_key)
         result = tuple(out)
         _memo[key] = result
@@ -172,9 +194,5 @@ def enumerate_K(n: int, i: int) -> Iterator[KLChainTriple]:
     Defined for n >= 2 and 0 <= i < (n - 1)/2 (the coefficient's degree
     window); other arguments are rejected.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if i < 0 or 2 * i >= n - 1:
-        raise ValueError(f"coefficient index {i} outside [0, (n-1)/2) for n={n}")
+    _check_index(n, i)
     return iter(_k_list(n, i))
-

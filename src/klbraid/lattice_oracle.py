@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 from itertools import zip_longest
 
 from .errors import InternalConsistencyError, OracleBoundError
@@ -46,8 +47,10 @@ class RankedLattice:
     """A finite bounded lattice with an explicit rank function.
 
     ``elements`` are opaque labels (set partitions, for the builder below).
-    Construction validates that there is a unique bottom and top, that the
-    bottom has rank 0, and that rank strictly increases along the order.
+    Construction validates that the order is reflexive, that rank strictly
+    increases along it, that there is a unique bottom and top, and that the
+    bottom has rank 0.  Each check is one mask operation per element; the
+    down masks, which only the Moebius function reads, are built on first use.
     """
 
     def __init__(self, elements: Sequence, ranks: Sequence[int], up_masks: Sequence[int]):
@@ -60,41 +63,43 @@ class RankedLattice:
         self.elements = list(elements)
         self.ranks = list(ranks)
         self.up = list(up_masks)
-        self.down = [0] * n
+        of_rank: dict[int, int] = {}
+        for i, r in enumerate(self.ranks):
+            of_rank[r] = of_rank.get(r, 0) | (1 << i)
+        at_most: dict[int, int] = {}
+        acc = 0
+        for r in sorted(of_rank):
+            acc |= of_rank[r]
+            at_most[r] = acc
+        top_mask = full
         for i, mask in enumerate(self.up):
-            if not (mask >> i) & 1:
-                raise ValueError("order must be reflexive")
             bit = 1 << i
-            for j in _iter_bits(mask):
-                self.down[j] |= bit
-                if j != i and self.ranks[j] <= self.ranks[i]:
-                    raise ValueError("rank must strictly increase along the order")
+            if not mask & bit:
+                raise ValueError("order must be reflexive")
+            if (mask ^ bit) & at_most[self.ranks[i]]:
+                raise ValueError("rank must strictly increase along the order")
+            if mask >> n:
+                raise ValueError(f"up mask of element {i} names an element outside the lattice")
+            top_mask &= mask
         bottoms = [i for i in range(n) if self.up[i] == full]
-        tops = [i for i in range(n) if self.down[i] == full]
-        if len(bottoms) != 1 or len(tops) != 1:
+        if len(bottoms) != 1 or not top_mask or top_mask & (top_mask - 1):
             raise ValueError("not a bounded lattice: need unique bottom and top")
         self.bottom = bottoms[0]
-        self.top = tops[0]
+        self.top = top_mask.bit_length() - 1
         if self.ranks[self.bottom] != 0:
             raise ValueError("bottom must have rank 0")
-        self._index = None
         self._mobius_rows: dict[int, dict[int, int]] = {}
         self._kl_upper: dict[int, IntPoly] = {}
 
-    @classmethod
-    def from_relation(cls, elements: Sequence, ranks: Sequence[int], leq) -> "RankedLattice":
-        """Build from a binary predicate; elements are re-sorted by rank."""
-        order = sorted(range(len(elements)), key=lambda i: (ranks[i], i))
-        elems = [elements[i] for i in order]
-        rks = [ranks[i] for i in order]
-        ups = []
-        for i in range(len(elems)):
-            mask = 0
-            for j in range(len(elems)):
-                if leq(elems[i], elems[j]):
-                    mask |= 1 << j
-            ups.append(mask)
-        return cls(elems, rks, ups)
+    @cached_property
+    def down(self) -> list[int]:
+        """Down masks: bit i of ``down[j]`` set iff element i <= element j."""
+        down = [0] * len(self.up)
+        for i, mask in enumerate(self.up):
+            bit = 1 << i
+            for j in _iter_bits(mask):
+                down[j] |= bit
+        return down
 
     def __len__(self):
         return len(self.elements)
@@ -106,46 +111,8 @@ class RankedLattice:
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)
 
-    def index_of(self, element) -> int:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-        return self._index[element]
-
-    def rank_sizes(self) -> list[int]:
-        out = [0] * (self.rank + 1)
-        for r in self.ranks:
-            out[r] += 1
-        return out
-
     def elements_of_rank(self, r: int) -> list[int]:
         return [i for i, rk in enumerate(self.ranks) if rk == r]
-
-    def interval(self, x: int, y: int) -> "RankedLattice":
-        """The sublattice [x, y] as a fresh RankedLattice, ranks rebased to 0."""
-        if not self.leq(x, y):
-            raise ValueError("empty interval: x is not below y")
-        members = [a for a in _iter_bits(self.up[x]) if self.leq(a, y)]
-        pos = {a: p for p, a in enumerate(members)}
-        member_mask = 0
-        for a in members:
-            member_mask |= 1 << a
-        ups = []
-        for a in members:
-            sub = 0
-            for b in _iter_bits(self.up[a] & member_mask):
-                sub |= 1 << pos[b]
-            ups.append(sub)
-        return RankedLattice(
-            [self.elements[a] for a in members],
-            [self.ranks[a] - self.ranks[x] for a in members],
-            ups,
-        )
-
-    def lower_interval(self, f: int) -> "RankedLattice":
-        return self.interval(self.bottom, f)
-
-    def upper_interval(self, f: int) -> "RankedLattice":
-        return self.interval(f, self.top)
 
     def _mobius_row(self, x: int) -> dict[int, int]:
         row = self._mobius_rows.get(x)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from klbraid.chain_formula import (
+    _link_row,
+    _link_value,
     group_values,
     kl_coeff_via_chains,
     symbolic_expansion,
@@ -14,7 +16,7 @@ from klbraid.chain_formula import (
 from klbraid.chains import KLChainTriple, enumerate_K
 from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import kl_coeff
-from klbraid.partitions import IntPartition
+from klbraid.partitions import IntPartition, partitions_of
 
 
 def test_base_value():
@@ -32,6 +34,49 @@ def test_small_spot_values():
 def test_agreement_with_recursion(n):
     for i in range((n - 2) // 2 + 1):
         assert kl_coeff_via_chains(n, i) == kl_coeff(n, i)
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_agreement_with_recursion_beyond_default_bound(n):
+    for i in range((n - 2) // 2 + 1):
+        assert kl_coeff_via_chains(n, i) == kl_coeff(n, i)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_factored_sum_equals_sum_over_triples(n):
+    for i in range((n - 2) // 2 + 1):
+        assert kl_coeff_via_chains(n, i) == sum(
+            term_value(t).value for t in enumerate_K(n, i)
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_link_row_equals_composition_sum(n):
+    # the row's convolution against the audit's explicit composition list
+    for lam in partitions_of(n):
+        row = _link_row(lam)
+        assert len(row) == lam.size + 1
+        assert not any(row[: lam.length])
+        for total in range(lam.length, lam.size + 1):
+            single = KLChainTriple((lam,), (total - lam.length,), (0,))
+            (fb,) = term_value(single, audit=True).factors
+            assert row[total] == fb.m_value * fb.inner_sum
+
+
+@pytest.mark.parametrize("blocks, total", [
+    ((3, 1), 1), ((3, 1), 0), ((3, 1), -1), ((3, 1), -4), ((3, 1), 5),
+    ((1,), 0), ((1,), 2), ((2, 2, 1), 2), ((2, 2, 1), 6), ((2, 2, 1), -6),
+])
+def test_infeasible_totals_raise_degenerate_link(blocks, total):
+    # a negative total must not read the row from its end
+    lam = IntPartition(blocks)
+    bad = KLChainTriple((lam,), (total - lam.length,), (0,))
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="degenerate link"):
+            _link_value(lam, total)
+        for audit in (False, True):
+            with pytest.raises(InternalConsistencyError, match="degenerate link"):
+                term_value(bad, audit=audit)
 
 
 def test_rejects_out_of_range():

@@ -24,9 +24,65 @@ from klbraid.polynomial import IntPoly
 from klbraid.stirling import partition_char_poly, stirling_second
 
 
+def from_relation(elements, ranks, leq) -> RankedLattice:
+    """Build from a binary predicate; elements are re-sorted by rank."""
+    order = sorted(range(len(elements)), key=lambda i: (ranks[i], i))
+    elems = [elements[i] for i in order]
+    rks = [ranks[i] for i in order]
+    ups = []
+    for i in range(len(elems)):
+        mask = 0
+        for j in range(len(elems)):
+            if leq(elems[i], elems[j]):
+                mask |= 1 << j
+        ups.append(mask)
+    return RankedLattice(elems, rks, ups)
+
+
+def index_of(L: RankedLattice, element) -> int:
+    return L.elements.index(element)
+
+
+def rank_sizes(L: RankedLattice) -> list[int]:
+    out = [0] * (L.rank + 1)
+    for r in L.ranks:
+        out[r] += 1
+    return out
+
+
+def interval(L: RankedLattice, x: int, y: int) -> RankedLattice:
+    """The sublattice [x, y] as a fresh RankedLattice, ranks rebased to 0."""
+    if not L.leq(x, y):
+        raise ValueError("empty interval: x is not below y")
+    members = [a for a in _iter_bits(L.up[x]) if L.leq(a, y)]
+    pos = {a: p for p, a in enumerate(members)}
+    member_mask = 0
+    for a in members:
+        member_mask |= 1 << a
+    ups = []
+    for a in members:
+        sub = 0
+        for b in _iter_bits(L.up[a] & member_mask):
+            sub |= 1 << pos[b]
+        ups.append(sub)
+    return RankedLattice(
+        [L.elements[a] for a in members],
+        [L.ranks[a] - L.ranks[x] for a in members],
+        ups,
+    )
+
+
+def lower_interval(L: RankedLattice, f: int) -> RankedLattice:
+    return interval(L, L.bottom, f)
+
+
+def upper_interval(L: RankedLattice, f: int) -> RankedLattice:
+    return interval(L, f, L.top)
+
+
 def boolean_lattice(n: int) -> RankedLattice:
     subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)]
-    return RankedLattice.from_relation(
+    return from_relation(
         subsets, [len(s) for s in subsets], lambda a, b: a <= b
     )
 
@@ -82,7 +138,7 @@ def test_partition_lattice_shape():
     L = build_partition_lattice(3)
     assert len(L) == 5
     assert L.rank == 2
-    assert L.rank_sizes() == [1, 3, 1]
+    assert rank_sizes(L) == [1, 3, 1]
     assert L.ranks[L.bottom] == 0
     assert L.ranks[L.top] == 2
 
@@ -90,7 +146,7 @@ def test_partition_lattice_shape():
 @pytest.mark.parametrize("n", range(2, 8))
 def test_rank_sizes_are_stirling_numbers(n):
     L = build_partition_lattice(n)
-    assert L.rank_sizes() == [stirling_second(n, n - r) for r in range(n)]
+    assert rank_sizes(L) == [stirling_second(n, n - r) for r in range(n)]
 
 
 def test_leq_is_refinement_order():
@@ -108,7 +164,7 @@ def test_leq_is_refinement_order():
 def test_index_of_round_trips():
     L = build_partition_lattice(4)
     for e, part in enumerate(L.elements):
-        assert L.index_of(part) == e
+        assert index_of(L, part) == e
 
 
 def test_lattice_bound_enforced():
@@ -152,7 +208,7 @@ def test_lower_intervals_factor_into_block_lattices():
             want = IntPoly.one()
             for b in shape.blocks:
                 want = want * partition_char_poly(b)
-            assert char_poly(L.lower_interval(e)) == want
+            assert char_poly(lower_interval(L, e)) == want
 
 
 def test_upper_intervals_look_like_smaller_partition_lattices():
@@ -160,19 +216,19 @@ def test_upper_intervals_look_like_smaller_partition_lattices():
         L = build_partition_lattice(n)
         for e in range(len(L)):
             k = len(L.elements[e])
-            U = L.upper_interval(e)
-            assert U.rank_sizes() == [stirling_second(k, k - r) for r in range(k)]
+            U = upper_interval(L, e)
+            assert rank_sizes(U) == [stirling_second(k, k - r) for r in range(k)]
             assert char_poly(U) == partition_char_poly(k)
 
 
 def test_interval_extremes():
     L = build_partition_lattice(4)
-    whole = L.interval(L.bottom, L.top)
-    assert whole.rank_sizes() == L.rank_sizes()
-    point = L.interval(L.top, L.top)
+    whole = interval(L, L.bottom, L.top)
+    assert rank_sizes(whole) == rank_sizes(L)
+    point = interval(L, L.top, L.top)
     assert len(point) == 1
     with pytest.raises(ValueError):
-        L.interval(L.top, L.bottom)
+        interval(L, L.top, L.bottom)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -238,12 +294,37 @@ def test_generic_kl_detects_corrupted_table():
 def test_from_relation_validation():
     with pytest.raises(ValueError):
         # two maximal elements
-        RankedLattice.from_relation([0, 1, 2], [0, 1, 1], lambda a, b: a == b or a == 0)
+        from_relation([0, 1, 2], [0, 1, 1], lambda a, b: a == b or a == 0)
     with pytest.raises(ValueError):
         # comparable pair with equal rank
-        RankedLattice.from_relation([0, 1], [0, 0], lambda a, b: a <= b)
+        from_relation([0, 1], [0, 0], lambda a, b: a <= b)
     with pytest.raises(ValueError):
-        RankedLattice.from_relation([], [], lambda a, b: True)
+        from_relation([], [], lambda a, b: True)
+
+
+@pytest.mark.parametrize("elements, ranks, ups, message", [
+    ([0, 1], [0, 1], [0b11], "must align"),
+    ([], [], [], "must be nonempty"),
+    ([0, 1], [0, 1], [0b10, 0b10], "must be reflexive"),
+    ([0, 1], [0, 0], [0b11, 0b10], "rank must strictly increase"),
+    ([0, 1], [1, 0], [0b11, 0b10], "rank must strictly increase"),
+    ([0, 1], [0, 1], [0b111, 0b10], "outside the lattice"),
+    ([0, 1], [0, 1], [0b11, 0b110], "outside the lattice"),
+    ([0, 1, 2], [0, 1, 1], [0b111, 0b10, 0b100], "unique bottom and top"),
+    ([0, 1, 2], [0, 0, 1], [0b101, 0b110, 0b100], "unique bottom and top"),
+    ([0, 1], [1, 2], [0b11, 0b10], "bottom must have rank 0"),
+])
+def test_lattice_validation_messages(elements, ranks, ups, message):
+    with pytest.raises(ValueError, match=message):
+        RankedLattice(elements, ranks, ups)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_down_masks_transpose_up_masks(n):
+    L = build_partition_lattice(n)
+    for x in range(len(L)):
+        for y in range(len(L)):
+            assert (L.down[y] >> x) & 1 == (L.up[x] >> y) & 1
 
 
 def test_flag_whitney_bruteforce_edges():
