@@ -5,8 +5,10 @@ test suite and the ``klb selftest`` command play against each other:
 
 * a fast bottom-up recursion over integer partitions (`kl_coeff`,
   `kl_braid_poly`), the default everywhere;
-* a closed summation over an explicitly enumerated index set of
-  partition chains (`kl_coeff_via_chains`, `enumerate_K`);
+* a closed summation over an index set of partition chains, grouped by
+  the exponential formula into sums of products of Stirling numbers of
+  both kinds, with the triples enumerated only to list and audit it
+  (`kl_coeff_via_chains`, `enumerate_K`);
 * closed forms in Stirling numbers of the second kind: a two-term
   expression for i = 1 (`kl_c1`) and an alternating sum over flag
   Whitney numbers (`kl_coeff_via_pxy`);

@@ -10,14 +10,26 @@ signed Stirling number of the first kind.  Summing term values over the
 whole index set gives C_{n,i} without ever touching the recursion; the two
 routes agreeing is one of the package's core cross-checks.
 
-The sum is factored through the index set's own recursion: a triple is a
-head (lam_1, alpha_1, xi_1) followed by a triple for (length(lam_1), xi_1),
-so C_{n,i} = sum over heads of link(lam_1, alpha_1 + length(lam_1)) times
-the chain sum for (length(lam_1), xi_1), or times 1 when xi_1 = 0.  Chain
-sums are memoized per (n, i) and no triple is built.  A link's values for
-every total come from one row per partition: the product over blocks b of
-sum_{d=1..b} s(b, d) x^d, times m(lam), whose x^total coefficient is the
-composition sum above.  Triples are enumerated only to list or audit them.
+The sum is computed through the index set's own recursion, grouped.  A
+triple is a head (lam_1, alpha_1, xi_1) followed by a triple for
+(length(lam_1), xi_1), and the conditions on a head see lam_1 only through
+l = length(lam_1).  Grouping the heads by l, the exponential formula
+(Stanley, EC2 section 5.1, applied to the falling factorials
+sum_{d=1..b} s(b, d) x^d) sums the links of every partition of n with l
+blocks at total T to one product of Stirling numbers of both kinds:
+
+    sum over lam |- n, length(lam) = l of link(lam, T) = s(n, T) * S(T, l).
+
+So C_{n,i} = sum over l and xi_1 of s(n, alpha_1 + l) * S(alpha_1 + l, l)
+times C_{l,xi_1}, or times 1 when xi_1 = 0, with alpha_1 = n - 1 - i - xi_1
+and 0 <= alpha_1 <= n - l.  The sums are memoized per (n, i); each costs
+O(n^2) Stirling products and builds no partition and no triple.
+
+Triples and per-partition links are kept to list and audit the sum
+(``enumerate_K``, ``term_value``).  A partition's link values for every
+total come from one row: the product over blocks b of sum_{d=1..b}
+s(b, d) x^d, times m(lam), whose x^total coefficient is the composition
+sum above.
 
 ``symbolic_expansion`` renders the same sum grouped by the top partition
 lam_1, in the shape of a worked table: ``m(3+1)s(3,3)s(1,1)`` style tokens,
@@ -26,13 +38,12 @@ with parenthesized multi-composition sums, plus exact per-group subtotals.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chains import KLChainTriple, _check_index, chain_heads, enumerate_K
+from .chains import KLChainTriple, _check_index, enumerate_K, xi_upper_bound
 from .errors import InternalConsistencyError
 from .partitions import IntPartition, bounded_compositions, multiplicity
-from .stirling import stirling_first
+from .stirling import stirling_first, stirling_second
 
 
 @dataclass
@@ -58,7 +69,7 @@ class TermBreakdown:
 # One row per partition, keyed by blocks: entry `total` is the link value.
 # The memos take no lock: two threads racing on one key store equal values.
 _link_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-_chain_sums: dict[tuple[int, int], int] = {}
+_grouped_sums: dict[tuple[int, int], int] = {}
 
 
 def _link_compositions(lam: IntPartition, total: int) -> list[tuple[tuple[int, ...], int]]:
@@ -132,28 +143,43 @@ def term_value(triple: KLChainTriple, audit: bool = False) -> TermBreakdown:
     )
 
 
-def _chain_sum(n: int, i: int) -> int:
-    """Sum of term values over the index set for (n, i), factored by head."""
+def _grouped_sum(n: int, i: int) -> int:
+    """C_{n,i} summed over heads grouped by l = length(lam_1), memoized."""
     key = (n, i)
-    value = _chain_sums.get(key)
+    value = _grouped_sums.get(key)
     if value is None:
         value = 0
-        for lam, alpha, xi in chain_heads(n, i):
-            link = _link_value(lam, alpha + lam.length)
-            value += link * _chain_sum(lam.length, xi) if xi else link
-        _chain_sums[key] = value
+        target = n - 1 - i
+        for l in range(1, n + 1):
+            for xi in range(xi_upper_bound(l) + 1):
+                alpha = target - xi
+                if 0 <= alpha <= n - l:
+                    total = alpha + l
+                    link = stirling_first(n, total) * stirling_second(total, l)
+                    value += link * _grouped_sum(l, xi) if xi else link
+        _grouped_sums[key] = value
     return value
 
 
 def kl_coeff_via_chains(n: int, i: int) -> int:
-    """C_{n,i} as the sum of chain term values over the index set.
+    """C_{n,i} as the chain sum, collapsed to Stirling numbers of both kinds.
+
+    Grouping the chain heads by l = length(lam_1), the exponential formula
+    turns the links of every partition of n with l blocks into one product,
+
+        sum over lam |- n, length(lam) = l of link(lam, T) = s(n, T) * S(T, l),
+
+    so C_{n,i} is the sum over l and xi_1 of s(n, alpha_1 + l) *
+    S(alpha_1 + l, l) times C_{l,xi_1} (or times 1 when xi_1 = 0), with
+    alpha_1 = n - 1 - i - xi_1.  That is O(n^2) Stirling products per
+    coefficient and no partition.
 
     Same domain as the enumeration: n >= 2, 0 <= i < (n-1)/2.  Degree
     positions outside that window are not meaningful here (use the recursion,
     which just reads off a zero coefficient).
     """
     _check_index(n, i)
-    return _chain_sum(n, i)
+    return _grouped_sum(n, i)
 
 
 # --- worked-table rendering -------------------------------------------------

@@ -22,12 +22,13 @@ hits zero.  Note (v) forces every lam_j to have at least one block of size
 
 The index set is recursive: a triple for (n, i) is a head (lam_1, alpha_1,
 xi_1) allowed by (i), (iii), (v), (vi) and (vii), followed, when xi_1 > 0,
-by a triple for (length(lam_1), xi_1).  ``chain_heads`` walks the heads;
-it is the one place those conditions are applied, both by the enumeration
-here and by the factored chain sum in ``chain_formula``, which never builds
-a triple.  Triples are materialized only for listing (``enumerate_K``,
-behind the ``chains`` and ``expand`` commands): each head is joined to the
-memoized index set for its tail, so shared tails are built once.  Output is
+by a triple for (length(lam_1), xi_1).  ``chain_heads`` walks the heads.
+Those conditions see lam_1 only through its length, so the chain sum in
+``chain_formula`` applies them per length instead, reading (vi) and (vii)
+through ``xi_upper_bound``, and builds no partition or triple.  Triples are
+materialized only for listing (``enumerate_K``, behind the ``chains`` and
+``expand`` commands): each head is joined to the memoized index set for its
+tail, so shared tails are built once.  Output is
 sorted into a canonical order: by chain length q, then by the partition
 chain in reverse lexicographic order, then by A.
 """

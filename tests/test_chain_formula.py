@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from klbraid import chain_formula
 from klbraid.chain_formula import (
     _link_row,
     _link_value,
@@ -13,10 +15,34 @@ from klbraid.chain_formula import (
     term_text,
     term_value,
 )
-from klbraid.chains import KLChainTriple, enumerate_K
+from klbraid.chains import KLChainTriple, chain_heads, enumerate_K
 from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import kl_coeff
 from klbraid.partitions import IntPartition, partitions_of
+from klbraid.stirling import stirling_first, stirling_second
+
+
+_reference_sums: dict[tuple[int, int], int] = {}
+
+
+def _per_partition_chain_sum(n, i):
+    """Reference: the chain sum factored by head over every partition lam_1,
+    each head's link value times the chain sum of its tail."""
+    key = (n, i)
+    if key not in _reference_sums:
+        value = 0
+        for lam, alpha, xi in chain_heads(n, i):
+            link = _link_value(lam, alpha + lam.length)
+            value += link * _per_partition_chain_sum(lam.length, xi) if xi else link
+        _reference_sums[key] = value
+    return _reference_sums[key]
+
+
+def _chain_poly(n):
+    """P_n's coefficients, ascending, read from the chain method alone."""
+    if n == 1:
+        return [1]
+    return [kl_coeff_via_chains(n, i) for i in range((n - 2) // 2 + 1)]
 
 
 def test_base_value():
@@ -48,6 +74,63 @@ def test_factored_sum_equals_sum_over_triples(n):
         assert kl_coeff_via_chains(n, i) == sum(
             term_value(t).value for t in enumerate_K(n, i)
         )
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_grouped_links_are_stirling_products(n):
+    # exponential formula: the links of all partitions of n with l blocks
+    # sum to s(n, T) * S(T, l) at every total T
+    rows: dict[int, list[int]] = {}
+    for lam in partitions_of(n):
+        acc = rows.setdefault(lam.length, [0] * (n + 1))
+        for total, v in enumerate(_link_row(lam)):
+            acc[total] += v
+    for l in range(1, n + 1):
+        for total in range(l, n + 1):
+            assert rows[l][total] == stirling_first(n, total) * stirling_second(total, l)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_grouped_sum_equals_per_partition_reference(n):
+    for i in range((n - 2) // 2 + 1):
+        assert kl_coeff_via_chains(n, i) == _per_partition_chain_sum(n, i)
+
+
+def test_chain_rows_make_z_polynomials_palindromic():
+    # Proudfoot-Xu-Young: Z_m(t) = sum_l S(m, l) t^(m-l) P_l(t) is palindromic
+    # of degree m - 1, a theorem independent of both the chain formula and
+    # the recursion's defining identity
+    polys = [None] + [_chain_poly(n) for n in range(1, 101)]
+    for m in range(1, 101):
+        z = [0] * m
+        for l in range(1, m + 1):
+            s = stirling_second(m, l)
+            for k, c in enumerate(polys[l]):
+                z[m - l + k] += s * c
+        assert z == z[::-1], m
+        assert z[0] == 1
+
+
+def test_degree_one_chain_values_match_closed_form():
+    # C(n, 1) = S(n, 2) - S(n, n - 1)
+    for n in range(4, 101):
+        assert kl_coeff_via_chains(n, 1) == 2 ** (n - 1) - 1 - n * (n - 1) // 2
+
+
+def test_chain_sum_walks_no_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain sum walked partitions")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("klbraid"):
+            for attr in ("partitions_of", "multiplicity", "_link_row"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
+    for n in range(2, 41):
+        assert kl_coeff_via_chains(n, 0) == 1
+        for i in range(1, (n - 2) // 2 + 1):
+            kl_coeff_via_chains(n, i)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

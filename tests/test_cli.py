@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from klbraid import cli, lattice_oracle
+from klbraid import cli, kl_recursion, lattice_oracle
 from klbraid.kl_recursion import kl_braid_poly
 
 
@@ -78,9 +78,9 @@ def test_table_all_methods_agree():
 
 def test_slowness_warning_once_per_invocation():
     plain = run_cli("table", "--max-n", "8", "--all-methods")
-    raised = run_cli("table", "--max-n", "8", "--all-methods", "--chain-max-n", "13")
+    raised = run_cli("table", "--max-n", "8", "--all-methods", "--chain-max-n", "61")
     assert raised.stdout == plain.stdout
-    assert raised.stderr.splitlines() == ["warning: chain enumeration above n=12 may be slow"]
+    assert raised.stderr.splitlines() == ["warning: chain sum above n=60 may be slow"]
 
 
 def test_table_solves_each_lattice_once(monkeypatch, capsys):
@@ -107,6 +107,30 @@ def test_oracle_bound_ceiling_fails_before_any_work(monkeypatch, capsys):
     assert cli.main(["coeff", "10", "1", "--method", "oracle", "--oracle-max-n", "10"]) == 2
     assert cli.main(["table", "--max-n", "10", "--all-methods", "--oracle-max-n", "10"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_recursion_cap_fails_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("recursion ran despite the cap")
+
+    monkeypatch.setattr(kl_recursion.KLTable, "_solve", refuse)
+    assert cli.main(["poly", "100000"]) == 2
+    assert cli.main(["table", "--max-n", "100000"]) == 2
+    assert cli.main(["table", "--max-n", "41", "--all-methods"]) == 2
+    assert cli.main(["coeff", "41", "1"]) == 2
+    assert cli.main(["coeff", "41", "1", "--all-methods"]) == 2
+    assert cli.main(["selftest", "--max-n", "41"]) == 2
+    assert capsys.readouterr().out == ""
+    # methods that do not run the recursion stay available past the cap
+    assert cli.main(["coeff", "60", "1", "--method", "chain"]) == 0
+    assert capsys.readouterr().out == f"{2 ** 59 - 1 - 60 * 59 // 2}\n"
+
+
+def test_chain_row_past_old_default(capsys):
+    assert cli.main(["coeff", "14", "2", "--all-methods"]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert set(rows) == {"recursion", "chain", "pxy"}
+    assert len(set(rows.values())) == 1
 
 
 def test_chains_text_and_json():
