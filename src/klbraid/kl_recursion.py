@@ -14,7 +14,9 @@ it across determines the low coefficients of P_n from smaller cases:
     C_{n,i} = -[t^i] Q   for i < (n-1)/2,   Q = the sum over lam != 1^n.
 
 The solve always re-verifies the full identity (both coefficient halves)
-before accepting a polynomial; that check is not optional.
+and, since the coefficients of every matroid's Kazhdan-Lusztig polynomial
+are nonnegative (Braden-Huh-Matherne-Proudfoot-Wang), that each one is,
+before accepting a polynomial; neither check is optional.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ class KLTable:
         p = IntPoly(low)
         if p.reverse(rk) - p != q:
             raise InternalConsistencyError(f"defining identity failed to close at n={m}")
+        for i, c in enumerate(p.coeffs):
+            if c < 0:
+                raise InternalConsistencyError(f"coefficient of t^{i} negative at n={m}: {c}")
         return p
 
     def _summands(self, n: int, include_trivial: bool):

@@ -15,7 +15,9 @@ The F = bottom term is P itself, so the remaining sum Q determines the low
 coefficients (degree < rk/2) as C_j = -[t^j] Q, and the high half of the
 identity is then verified exactly; any mismatch raises, since it means the
 input was not the lattice of flats of a matroid.  Q is regrouped by Moebius
-inversion, so the solve costs one vector sum per comparable pair.
+inversion, and the elements above are summed by value class: one mask AND
+and popcount per element and distinct value (rank + 1 values on a partition
+lattice; elements^2 mask operations when every value is distinct).
 
 Scale: partition lattices up to the configured bound (Bell(9) = 21147
 elements is the default ceiling; the generic recursion is capped lower).
@@ -173,8 +175,11 @@ def char_poly(L: RankedLattice) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _column_sums(vectors: list[Sequence[int]]) -> list[int]:
-    return [sum(col) for col in zip_longest(*vectors, fillvalue=0)]
+def _add_scaled(acc: list[int], k: int, vec: Sequence[int]) -> None:
+    if len(acc) < len(vec):
+        acc.extend([0] * (len(vec) - len(acc)))
+    for j, c in enumerate(vec):
+        acc[j] += k * c
 
 
 def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
@@ -184,31 +189,41 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     By Moebius inversion (the Z-polynomial regrouping of Proudfoot-Xu-Young),
     Q_e = t^(-rank(e)) sum_{f > e} t^rank(f) P_f - sum_{f > e} (Q_f + P_f) for
     whatever the table holds, pre-filled entries included, so two coefficient
-    vectors per element replace every interval.  Raises InternalConsistencyError
-    if the degree-constrained solve fails to satisfy the full identity, which
-    means the input is not the lattice of flats of a matroid.
+    vectors per element replace every interval.  Visited elements are grouped
+    by their value (T_f, W_f) = (t^rank(f) P_f, Q_f + P_f), one bitmask per
+    distinct value, so each sum over f > e is sum_v v * |up(e) - e & mask_v|:
+    one mask AND and popcount per element and distinct value.  On a partition
+    lattice the values are the rank + 1 upper-interval types; in the worst
+    case, every value distinct, it is elements^2 mask operations.  Raises
+    InternalConsistencyError if the degree-constrained solve fails to satisfy
+    the full identity, which means the input is not the lattice of flats of a
+    matroid.
     """
     cache = L._kl_upper
-    T = [()] * len(L)  # t^rank(f) * P_f, by absolute degree
-    W = [()] * len(L)  # Q_f + P_f
+    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for e in sorted(range(len(L)), key=lambda e: -L.ranks[e]):
         r = L.ranks[e]
-        above = list(_iter_bits(L.up[e] ^ (1 << e)))
-        t_sum = _column_sums([T[f] for f in above])
-        w_sum = _column_sums([W[f] for f in above])
-        q = [a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0)]
+        above = L.up[e] ^ (1 << e)
+        t_sum: list[int] = []  # sum of t^rank(f) * P_f, by absolute degree
+        w_sum: list[int] = []  # sum of Q_f + P_f
+        for (t_f, w_f), mask in classes.items():
+            k = (above & mask).bit_count()
+            if k:
+                _add_scaled(t_sum, k, t_f)
+                _add_scaled(w_sum, k, w_f)
+        q = IntPoly(a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0))
         p = cache.get(e)
         if p is None:
             rk_e = L.rank - r
-            p = IntPoly([-c for c in q[: (rk_e + 1) // 2]]) if rk_e else IntPoly.one()
-            if p.reverse(rk_e) - p != IntPoly(q):
+            p = IntPoly([-c for c in q.coeffs[: (rk_e + 1) // 2]]) if rk_e else IntPoly.one()
+            if p.reverse(rk_e) - p != q:
                 raise InternalConsistencyError(
                     f"degree-constrained solve inconsistent at element {e}; "
                     "input is not a geometric lattice"
                 )
             cache[e] = p
-        T[e] = (0,) * r + p.coeffs
-        W[e] = tuple(_column_sums([q, p.coeffs]))
+        value = ((0,) * r + p.coeffs, (q + p).coeffs)
+        classes[value] = classes.get(value, 0) | (1 << e)
     return cache[L.bottom]
 
 

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from klbraid import cli, kl_recursion, lattice_oracle
+from klbraid import cli, kl_recursion, lattice_oracle, stirling
 from klbraid.kl_recursion import kl_braid_poly
 
 
@@ -124,6 +124,24 @@ def test_recursion_cap_fails_before_any_work(monkeypatch, capsys):
     # methods that do not run the recursion stay available past the cap
     assert cli.main(["coeff", "60", "1", "--method", "chain"]) == 0
     assert capsys.readouterr().out == f"{2 ** 59 - 1 - 60 * 59 // 2}\n"
+
+
+def test_corollary_cap_fails_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Stirling table grown despite the cap")
+
+    monkeypatch.setattr(stirling.StirlingCache, "_grow_first", refuse)
+    monkeypatch.setattr(stirling.StirlingCache, "_grow_second", refuse)
+    n = cli.COROLLARY_MAX_N + 1
+    assert cli.main(["coeff", str(n), "1", "--method", "corollary"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_corollary_cap_itself_answers():
+    n = cli.COROLLARY_MAX_N
+    out = run_cli("coeff", str(n), "1", "--method", "corollary").stdout
+    # C(n, 1) = S(n, 2) - S(n, n - 1)
+    assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
 
 
 def test_chain_row_past_old_default(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import (
     KLTable,
     default_table,
@@ -52,6 +53,19 @@ def test_coefficients_positive():
     for n in range(2, 26):
         p = kl_braid_poly(n)
         assert all(p.coeff(k) > 0 for k in range(p.degree + 1))
+
+
+def test_negative_coefficient_is_rejected(monkeypatch):
+    # Q = -1 + t - t^2 + t^3 closes the identity at n = 4 (rank 3) with
+    # P = 1 - t, so only the nonnegativity check can refuse it
+    table = KLTable()
+    table.poly(3)
+    monkeypatch.setattr(
+        table, "_summands", lambda n, include_trivial: iter([(None, IntPoly([-1, 1, -1, 1]))])
+    )
+    with pytest.raises(InternalConsistencyError, match=r"t\^1 negative at n=4: -1"):
+        table.poly(4)
+    assert len(table._polys) == 4
 
 
 def test_rejects_bad_arguments():

@@ -269,7 +269,53 @@ def test_generic_kl_matches_chi_form_on_poisoned_tables(n, poison):
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+def test_generic_kl_when_every_value_is_distinct():
+    # the grouping's worst case, one value class per element: on the
+    # partition lattice of a 3-set, atoms holding 0, 1, 2 and the top holding
+    # 1 close the identity at the bottom (sum over atoms = 3 * top) with P = 1
+    outcomes = []
+    for solve in (kl_polynomial_generic, chi_form_kl):
+        L = build_partition_lattice(3)
+        for e, c in zip(L.elements_of_rank(1), (0, 1, 2)):
+            L._kl_upper[e] = IntPoly([c])
+        L._kl_upper[L.top] = IntPoly.one()
+        outcomes.append(solve(L))
+    assert outcomes == [IntPoly.one(), IntPoly.one()]
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_generic_kl_matches_chi_form_when_every_value_is_distinct(n):
+    outcomes = []
+    for solve in (kl_polynomial_generic, chi_form_kl):
+        L = build_partition_lattice(n)
+        for e in range(len(L)):
+            if e != L.bottom:
+                L._kl_upper[e] = IntPoly([e, 1 - e])
+        try:
+            outcomes.append(solve(L))
+        except InternalConsistencyError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_generic_kl_groups_by_w_as_well_as_t():
+    # every entry but the bottom pre-filled with P = 1, except P = 3 on one
+    # 2+2 partition and P = 0 on one 3+1 partition: those shifts, weighted by
+    # chi = (t-1)^2 and (t-1)(t-2), cancel in the bottom's closing conditions,
+    # and they give atoms that share T = t different values of W
+    outcomes = []
+    for solve in (kl_polynomial_generic, chi_form_kl):
+        L = build_partition_lattice(4)
+        for e in range(1, len(L)):
+            L._kl_upper[e] = IntPoly.one()
+        for shape, p in (([2, 2], IntPoly([3])), ([1, 3], IntPoly())):
+            f = next(f for f in L.elements_of_rank(2) if sorted(map(len, L.elements[f])) == shape)
+            L._kl_upper[f] = p
+        outcomes.append(solve(L))
+    assert outcomes == [IntPoly([1, 2]), IntPoly([1, 2])]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
 def test_generic_kl_matches_fast_recursion(n):
     assert kl_polynomial_generic(build_partition_lattice(n)) == kl_braid_poly(n)
 
