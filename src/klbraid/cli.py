@@ -27,6 +27,12 @@ RECURSION_MAX_N = 40
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.
 COROLLARY_MAX_N = 500
+# The pxy sum has 2*3^(i-1) cells, so each i costs about 3x the last: C(23, 10)
+# took 0.35 s of CPU on a 2-core host and C(25, 11) 1.1 s.  It also grows the
+# second-kind Stirling triangle to row n: C(500, 10) took 0.64 s and 42 MB in
+# a fresh process, C(1000, 2) 212 MB.
+PXY_MAX_I = 10
+PXY_MAX_N = 500
 DEFAULT_SELFTEST_MAX_N = 8
 DEFAULT_SELFTEST_ORACLE_MAX_N = 6
 
@@ -87,6 +93,9 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
             raise UsageError(
                 f"pxy method needs 0 < i < (n-1)/2; got n={n} i={i}"
             )
+        if i > PXY_MAX_I or n > PXY_MAX_N:
+            raise UsageError(f"pxy method capped at i <= {PXY_MAX_I} and n <= {PXY_MAX_N}: "
+                             "it sums 2*3^(i-1) cells and grows a Stirling triangle to row n")
         return whitney2.kl_coeff_via_pxy(n, i, args.interpretation)
     if method == "oracle":
         bound = args.oracle_max_n
@@ -108,7 +117,7 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
 def _check_oracle_bound(args) -> None:
     if args.oracle_max_n > lattice_oracle.DEFAULT_LATTICE_BOUND:
         raise UsageError(f"--oracle-max-n is capped at {lattice_oracle.DEFAULT_LATTICE_BOUND}: "
-                         "the lattice's order bitmasks take about 2*Bell(n)^2 bits")
+                         "the lattice's up masks take about Bell(n)^2 bits")
 
 
 def _applicable_methods(n: int, i: int, args):
@@ -117,7 +126,7 @@ def _applicable_methods(n: int, i: int, args):
         out.append("chain")
     if i == 1 and n >= 2:
         out.append("corollary")
-    if n >= 2 and 1 <= i and 2 * i < n - 1:
+    if 2 <= n <= PXY_MAX_N and 1 <= i <= PXY_MAX_I and 2 * i < n - 1:
         out.append("pxy")
     if 2 <= n <= args.oracle_max_n:
         out.append("oracle")

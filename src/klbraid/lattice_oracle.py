@@ -6,6 +6,8 @@ makes the cross-checks meaningful.  The order is stored as one bitmask per
 element (bit j of ``up[i]`` set iff element i <= element j), elements are
 indexed in rank-ascending order so that index order is a linear extension,
 and the Moebius function is computed by straight summation over intervals.
+The partition lattice's up masks are ANDs of same-block masks, one per pair
+of points; the down masks are built only when the Moebius function asks.
 
 The Kazhdan-Lusztig recursion is solved directly on the lattice:
 
@@ -16,8 +18,11 @@ coefficients (degree < rk/2) as C_j = -[t^j] Q, and the high half of the
 identity is then verified exactly; any mismatch raises, since it means the
 input was not the lattice of flats of a matroid.  Q is regrouped by Moebius
 inversion, and the elements above are summed by value class: one mask AND
-and popcount per element and distinct value (rank + 1 values on a partition
-lattice; elements^2 mask operations when every value is distinct).
+and popcount per element and class.  Q depends only on the rank and the
+count in each class, so the solve and its check run once per distinct key:
+elements x classes mask operations plus rank + 1 solves on a partition
+lattice, elements^2 mask operations and a solve per element when every
+value is distinct.
 
 Scale: partition lattices up to the configured bound (Bell(9) = 21147
 elements is the default ceiling; the generic recursion is capped lower).
@@ -28,7 +33,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 from .errors import InternalConsistencyError, OracleBoundError
 from .partitions import _set_partitions_unchecked
@@ -136,26 +141,46 @@ def build_partition_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> Ranke
     """The lattice of set partitions of {1..n}, ordered by refinement.
 
     The all-singletons partition is the bottom (rank 0); rank is n minus the
-    number of blocks.  Order relations are generated constructively: the
-    partitions above x are x itself and everything above a merge of two of
-    its blocks, so each up-set is the union of its covers' up-sets.
+    number of blocks.  f lies above e exactly when every two consecutive
+    members of each block of e share a block of f.  So the order is built
+    from one same-block mask per pair x < y, the elements in which x and y
+    share a block: a block's mask is the AND of its consecutive pairs' masks,
+    and up[e] is the AND of the masks of e's blocks.  Cost: one bit set per
+    element and same-block pair, then one mask AND per element and block of
+    two or more points.
     """
     if n < 2:
         raise ValueError("partition lattice needs n >= 2")
     if n > bound:
         raise OracleBoundError(f"partition lattice capped at n <= {bound}, got {n}")
     elements = sorted(_set_partitions_unchecked(n), key=lambda p: (n - len(p), p))
-    index = {p: i for i, p in enumerate(elements)}
-    # covers sit at higher indices; merging blocks a < b keeps a's position
-    ups = [0] * len(elements)
-    for i in range(len(elements) - 1, -1, -1):
-        part = elements[i]
-        mask = 1 << i
-        for b in range(1, len(part)):
-            for a in range(b):
-                merged = tuple(sorted(part[a] + part[b]))
-                mask |= ups[index[part[:a] + (merged,) + part[a + 1 : b] + part[b + 1 :]]]
-        ups[i] = mask
+    width = (len(elements) + 7) >> 3
+    together = {pair: bytearray(width) for pair in combinations(range(1, n + 1), 2)}
+    pair_bufs: dict[tuple[int, ...], list[bytearray]] = {}  # block -> its pairs' buffers
+    for i, part in enumerate(elements):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for block in part:
+            if len(block) > 1:
+                bufs = pair_bufs.get(block)
+                if bufs is None:
+                    bufs = pair_bufs[block] = [together[pair] for pair in combinations(block, 2)]
+                for buf in bufs:
+                    buf[byte] |= bit
+    same_block = {pair: int.from_bytes(buf, "little") for pair, buf in together.items()}
+    full = (1 << len(elements)) - 1
+    inside = {}
+    for block in pair_bufs:
+        mask = full
+        for pair in zip(block, block[1:]):
+            mask &= same_block[pair]
+        inside[block] = mask
+    ups = []
+    for part in elements:
+        mask = full
+        for block in part:
+            if len(block) > 1:
+                mask &= inside[block]
+        ups.append(mask)
     return RankedLattice(elements, [n - len(p) for p in elements], ups)
 
 
@@ -182,6 +207,13 @@ def _add_scaled(acc: list[int], k: int, vec: Sequence[int]) -> None:
         acc[j] += k * c
 
 
+def _solve_upper(q: IntPoly, rk: int) -> tuple[IntPoly, bool]:
+    # degree-constrained solve of t^rk P(1/t) - P(t) = Q: the low half of P
+    # is -Q's, and the flag says whether the high half then closes
+    p = IntPoly([-c for c in q.coeffs[: (rk + 1) // 2]]) if rk else IntPoly.one()
+    return p, p.reverse(rk) - p == q
+
+
 def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     """Kazhdan-Lusztig polynomial of a lattice, by the defining recursion.
 
@@ -191,39 +223,61 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     whatever the table holds, pre-filled entries included, so two coefficient
     vectors per element replace every interval.  Visited elements are grouped
     by their value (T_f, W_f) = (t^rank(f) P_f, Q_f + P_f), one bitmask per
-    distinct value, so each sum over f > e is sum_v v * |up(e) - e & mask_v|:
-    one mask AND and popcount per element and distinct value.  On a partition
-    lattice the values are the rank + 1 upper-interval types; in the worst
-    case, every value distinct, it is elements^2 mask operations.  Raises
-    InternalConsistencyError if the degree-constrained solve fails to satisfy
-    the full identity, which means the input is not the lattice of flats of a
-    matroid.
+    distinct value, so each sum over f > e is sum_v v * |up(e) - e & mask_v|.
+    Q_e is therefore fixed by rank(e) and the counts per value class, and the
+    solve and its identity check run once per distinct such key; a pre-filled
+    entry takes Q from its key and its value from its own P.
+
+    Cost: elements x classes mask ANDs and popcounts, plus one solve per
+    distinct key.  On a partition lattice there are rank + 1 classes and
+    rank + 1 keys; in the worst case, every value distinct, it is elements^2
+    mask operations and a solve per element.  Raises InternalConsistencyError
+    at the first element whose degree-constrained solve fails the full
+    identity, which means the input is not the lattice of flats of a matroid.
     """
     cache = L._kl_upper
     classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    masks: list[int] = []
+    # (rank, ((class, count), ...)) -> (Q, solved P, identity closes, value)
+    solved: dict[tuple, tuple] = {}
     for e in sorted(range(len(L)), key=lambda e: -L.ranks[e]):
         r = L.ranks[e]
         above = L.up[e] ^ (1 << e)
-        t_sum: list[int] = []  # sum of t^rank(f) * P_f, by absolute degree
-        w_sum: list[int] = []  # sum of Q_f + P_f
-        for (t_f, w_f), mask in classes.items():
+        counts = []
+        for c, mask in enumerate(masks):
             k = (above & mask).bit_count()
             if k:
+                counts.append((c, k))
+        key = (r, tuple(counts))
+        entry = solved.get(key)
+        if entry is None:
+            t_sum: list[int] = []  # sum of t^rank(f) * P_f, by absolute degree
+            w_sum: list[int] = []  # sum of Q_f + P_f
+            for c, k in counts:
+                t_f, w_f = values[c]
                 _add_scaled(t_sum, k, t_f)
                 _add_scaled(w_sum, k, w_f)
-        q = IntPoly(a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0))
-        p = cache.get(e)
-        if p is None:
-            rk_e = L.rank - r
-            p = IntPoly([-c for c in q.coeffs[: (rk_e + 1) // 2]]) if rk_e else IntPoly.one()
-            if p.reverse(rk_e) - p != q:
-                raise InternalConsistencyError(
-                    f"degree-constrained solve inconsistent at element {e}; "
-                    "input is not a geometric lattice"
-                )
+            q = IntPoly(a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0))
+            p, closes = _solve_upper(q, L.rank - r)
+            entry = solved[key] = (q, p, closes, ((0,) * r + p.coeffs, (q + p).coeffs))
+        q, p, closes, value = entry
+        filled = cache.get(e)
+        if filled is not None:
+            value = ((0,) * r + filled.coeffs, (q + filled).coeffs)
+        elif closes:
             cache[e] = p
-        value = ((0,) * r + p.coeffs, (q + p).coeffs)
-        classes[value] = classes.get(value, 0) | (1 << e)
+        else:
+            raise InternalConsistencyError(
+                f"degree-constrained solve inconsistent at element {e}; "
+                "input is not a geometric lattice"
+            )
+        c = classes.get(value)
+        if c is None:
+            c = classes[value] = len(values)
+            values.append(value)
+            masks.append(0)
+        masks[c] |= 1 << e
     return cache[L.bottom]
 
 

@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from klbraid import cli, kl_recursion, lattice_oracle, stirling
+import pytest
+
+from klbraid import cli, kl_recursion, lattice_oracle, stirling, whitney2
 from klbraid.kl_recursion import kl_braid_poly
 
 
@@ -142,6 +144,39 @@ def test_corollary_cap_itself_answers():
     out = run_cli("coeff", str(n), "1", "--method", "corollary").stdout
     # C(n, 1) = S(n, 2) - S(n, n - 1)
     assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
+
+
+@pytest.mark.parametrize("n, i", [
+    (cli.PXY_MAX_N + 1, 2),
+    (2 * cli.PXY_MAX_I + 5, cli.PXY_MAX_I + 1),
+])
+def test_pxy_caps_fail_before_any_work(n, i, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pxy sum run despite the cap")
+
+    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", refuse)
+    assert cli.main(["coeff", str(n), str(i), "--method", "pxy"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_pxy_caps_themselves_answer():
+    n = cli.PXY_MAX_N
+    out = run_cli("coeff", str(n), "1", "--method", "pxy").stdout
+    assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
+    n, i = 2 * cli.PXY_MAX_I + 3, cli.PXY_MAX_I
+    assert run_cli("coeff", str(n), str(i), "--method", "pxy").stdout == f"{kl_recursion.kl_coeff(n, i)}\n"
+
+
+def test_no_pxy_row_above_the_caps(capsys):
+    n, i = 2 * cli.PXY_MAX_I + 5, cli.PXY_MAX_I + 1
+    assert cli.main(["coeff", str(n), str(i), "--all-methods"]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert set(rows) == {"recursion", "chain"}
+    assert len(set(rows.values())) == 1
+    # above the n cap the recursion refuses first, so ask the method list
+    args = cli.build_parser().parse_args(["coeff", "1", "1"])
+    assert "pxy" in cli._applicable_methods(cli.PXY_MAX_N, 2, args)
+    assert "pxy" not in cli._applicable_methods(cli.PXY_MAX_N + 1, 2, args)
 
 
 def test_chain_row_past_old_default(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klbraid import lattice_oracle
 from klbraid.errors import InternalConsistencyError, OracleBoundError
 from klbraid.kl_recursion import kl_braid_poly
 from klbraid.lattice_oracle import (
@@ -101,6 +102,24 @@ def merges_partition_lattice(n: int) -> RankedLattice:
             )
             mask |= 1 << index[merged]
         ups.append(mask)
+    return RankedLattice(elements, [n - len(p) for p in elements], ups)
+
+
+def cover_closure_partition_lattice(n: int) -> RankedLattice:
+    # reference builder: the partitions above x are x itself and everything
+    # above a merge of two of its blocks; covers sit at higher indices, and
+    # merging blocks a < b keeps a's position
+    elements = sorted(_set_partitions_unchecked(n), key=lambda p: (n - len(p), p))
+    index = {p: i for i, p in enumerate(elements)}
+    ups = [0] * len(elements)
+    for i in range(len(elements) - 1, -1, -1):
+        part = elements[i]
+        mask = 1 << i
+        for b in range(1, len(part)):
+            for a in range(b):
+                merged = tuple(sorted(part[a] + part[b]))
+                mask |= ups[index[part[:a] + (merged,) + part[a + 1 : b] + part[b + 1 :]]]
+        ups[i] = mask
     return RankedLattice(elements, [n - len(p) for p in elements], ups)
 
 
@@ -239,6 +258,14 @@ def test_cover_closure_matches_all_merges(n):
     assert L.up == ref.up
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_same_block_masks_match_cover_closure(n):
+    L, ref = build_partition_lattice(n), cover_closure_partition_lattice(n)
+    assert L.elements == ref.elements
+    assert L.ranks == ref.ranks
+    assert L.up == ref.up
+
+
 @pytest.mark.parametrize(
     "make, n",
     [(build_partition_lattice, n) for n in range(2, 7)] + [(boolean_lattice, n) for n in range(1, 6)],
@@ -313,6 +340,53 @@ def test_generic_kl_groups_by_w_as_well_as_t():
             L._kl_upper[f] = p
         outcomes.append(solve(L))
     assert outcomes == [IntPoly([1, 2]), IntPoly([1, 2])]
+
+
+def test_generic_kl_keys_by_rank():
+    # bottom < a < top and bottom < b < top, a at rank 1 and b at rank 2: the
+    # two have the same elements above them, so only the rank tells their Q apart
+    for solve in (kl_polynomial_generic, chi_form_kl):
+        L = from_relation(["bottom", "a", "b", "top"], [0, 1, 2, 3],
+                          lambda x, y: x == y or x == "bottom" or y == "top")
+        assert solve(L) == IntPoly.one()
+
+
+def test_generic_kl_keys_by_w_as_well_as_t():
+    # f1 sees g1, a, b' and the top above it; f2 sees g2, a', b and the top.
+    # g1 and g2 are pre-filled with P = 1, a and a' with P = 2, so each pair
+    # shares T, and f1 and f2 count the same T classes.  But g1 sits below a
+    # and g2 below b, so their W differ, and with them Q_f1 and Q_f2: the
+    # solve closes at f1 and not at f2
+    covers = {"bottom": ["f1", "f2"], "f1": ["g1", "b'"], "f2": ["g2", "a'"],
+              "g1": ["a"], "g2": ["b"], "a": ["top"], "a'": ["top"], "b": ["top"],
+              "b'": ["top"], "top": []}
+    ranks = {"bottom": 0, "f1": 1, "f2": 1, "g1": 2, "g2": 2,
+             "a": 3, "a'": 3, "b": 3, "b'": 3, "top": 4}
+
+    def leq(x, y):
+        return x == y or any(leq(z, y) for z in covers[x])
+
+    for solve in (kl_polynomial_generic, chi_form_kl):
+        L = from_relation(list(ranks), list(ranks.values()), leq)
+        for name, p in (("a", 2), ("a'", 2), ("g1", 1), ("g2", 1)):
+            L._kl_upper[index_of(L, name)] = IntPoly([p])
+        with pytest.raises(InternalConsistencyError, match=f"at element {index_of(L, 'f2')};"):
+            solve(L)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generic_kl_solves_once_per_key(n, monkeypatch):
+    # on the partition lattice the key is the rank: n solves, not Bell(n)
+    calls = []
+    solve = lattice_oracle._solve_upper
+
+    def counting(q, rk):
+        calls.append(rk)
+        return solve(q, rk)
+
+    monkeypatch.setattr(lattice_oracle, "_solve_upper", counting)
+    assert kl_polynomial_generic(build_partition_lattice(n)) == kl_braid_poly(n)
+    assert sorted(calls) == list(range(n))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
