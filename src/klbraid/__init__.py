@@ -17,65 +17,54 @@ test suite and the ``klb selftest`` command play against each other:
   `braid_kl_generic`).
 
 All arithmetic is exact; there are no floats anywhere.
+
+Importing the package loads none of its submodules.  Each public name
+below is looked up in its submodule on first access (PEP 562), so a
+``klb`` process pays only for the modules its command runs.  Submodules
+are imported by name as usual: ``from klbraid import cli``.
 """
 
-from .chain_formula import kl_coeff_via_chains, symbolic_expansion
-from .chains import KLChainTriple, enumerate_K, validate_triple
-from .errors import InternalConsistencyError, OracleBoundError
-from .kl_recursion import (
-    KLTable,
-    kl_braid_poly,
-    kl_coeff,
-    verify_defining_identity,
-)
-from .lattice_oracle import (
-    RankedLattice,
-    braid_kl_generic,
-    build_partition_lattice,
-    char_poly,
-    kl_polynomial_generic,
-)
-from .partitions import IntPartition, multiplicity, partitions_of, set_partitions_of
-from .polynomial import IntPoly
-from .stirling import (
-    bell_number,
-    falling_factorial_poly,
-    partition_char_poly,
-    stirling_first,
-    stirling_second,
-)
-from .whitney2 import flag_whitney_product, kl_c1, kl_coeff_via_pxy
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IntPartition",
-    "IntPoly",
-    "InternalConsistencyError",
-    "KLChainTriple",
-    "KLTable",
-    "OracleBoundError",
-    "RankedLattice",
-    "bell_number",
-    "braid_kl_generic",
-    "build_partition_lattice",
-    "char_poly",
-    "enumerate_K",
-    "falling_factorial_poly",
-    "flag_whitney_product",
-    "kl_braid_poly",
-    "kl_c1",
-    "kl_coeff",
-    "kl_coeff_via_chains",
-    "kl_coeff_via_pxy",
-    "kl_polynomial_generic",
-    "multiplicity",
-    "partition_char_poly",
-    "partitions_of",
-    "set_partitions_of",
-    "stirling_first",
-    "stirling_second",
-    "symbolic_expansion",
-    "validate_triple",
-    "verify_defining_identity",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "chain_formula": ("kl_coeff_via_chains", "symbolic_expansion"),
+    "chains": ("KLChainTriple", "enumerate_K", "validate_triple"),
+    "errors": ("InternalConsistencyError", "OracleBoundError"),
+    "kl_recursion": ("KLTable", "kl_braid_poly", "kl_coeff", "verify_defining_identity"),
+    "lattice_oracle": (
+        "RankedLattice",
+        "braid_kl_generic",
+        "build_partition_lattice",
+        "char_poly",
+        "kl_polynomial_generic",
+    ),
+    "partitions": ("IntPartition", "multiplicity", "partitions_of", "set_partitions_of"),
+    "polynomial": ("IntPoly",),
+    "stirling": (
+        "bell_number",
+        "falling_factorial_poly",
+        "partition_char_poly",
+        "stirling_first",
+        "stirling_second",
+    ),
+    "whitney2": ("flag_whitney_product", "kl_c1", "kl_coeff_via_pxy"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -38,7 +38,7 @@ with parenthesized multi-composition sums, plus exact per-group subtotals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import KLChainTriple, _check_index, enumerate_K, xi_upper_bound
 from .errors import InternalConsistencyError
@@ -46,8 +46,7 @@ from .partitions import IntPartition, bounded_compositions, multiplicity
 from .stirling import stirling_first, stirling_second
 
 
-@dataclass
-class FactorBreakdown:
+class FactorBreakdown(NamedTuple):
     """Audit record for one link of a chain term."""
 
     lam: IntPartition
@@ -57,8 +56,7 @@ class FactorBreakdown:
     inner_sum: int
 
 
-@dataclass
-class TermBreakdown:
+class TermBreakdown(NamedTuple):
     """A chain term's value, with optional per-link audit detail."""
 
     triple: KLChainTriple
@@ -208,15 +206,19 @@ def term_text(breakdown: TermBreakdown) -> str:
     return "".join(_factor_text(fb) for fb in breakdown.factors)
 
 
-@dataclass
 class ExpansionGroup:
-    lambda1: IntPartition
-    terms: list[tuple[TermBreakdown, str]]
-    value: int
+    """One top partition's terms and their subtotal; ``symbolic_expansion``
+    extends both while it merges runs, so this is not a tuple."""
+
+    __slots__ = ("lambda1", "terms", "value")
+
+    def __init__(self, lambda1: IntPartition, terms: list[tuple[TermBreakdown, str]], value: int):
+        self.lambda1 = lambda1
+        self.terms = terms
+        self.value = value
 
 
-@dataclass
-class SymbolicExpansion:
+class SymbolicExpansion(NamedTuple):
     n: int
     i: int
     groups: list[ExpansionGroup]

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import IntPartition, partitions_of
 
 
-@dataclass(frozen=True)
-class KLChainTriple:
+class KLChainTriple(NamedTuple):
     """One chain triple (Lambda, A, Xi)."""
 
     Lambda: tuple[IntPartition, ...]
@@ -71,8 +70,7 @@ class KLChainTriple:
 AXIOM_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Per-condition validation outcome for one candidate triple."""
 
     n: int

@@ -6,6 +6,11 @@ disagreement or mandatory self-test failure, 2 usage error.
 
 Output is deterministic: identical invocations produce byte-identical
 output.
+
+Each command imports the method modules it runs, and no others, when it
+runs: building the parser needs only the constants below, so a ``klb``
+process that answers from the lattice oracle never loads the chain or
+Stirling modules.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ import argparse
 import csv
 import json
 import sys
+from importlib import import_module
 from itertools import combinations_with_replacement
 from math import factorial
 
-from . import chain_formula, chains, kl_recursion, lattice_oracle, partitions, stirling, whitney2
 from .errors import InternalConsistencyError, OracleBoundError
 
 DEFAULT_CHAIN_MAX_N = 60
@@ -33,10 +38,35 @@ COROLLARY_MAX_N = 500
 # a fresh process, C(1000, 2) 212 MB.
 PXY_MAX_I = 10
 PXY_MAX_N = 500
+# Listing the chain index set holds every triple, and its size grows about 4x
+# with each n at the largest i.  Fresh processes on a 2-core host:
+# `chains 15 6 --format json` took 0.41 s of CPU and 86 MB, `chains 16 7
+# --format json` 1.8 s and 328 MB; `expand 14 6 --format json` took 1.2 s and
+# 96 MB, `expand 16 7` 7.4 s and 247 MB.
+CHAINS_MAX_N = 15
+EXPAND_MAX_N = 14
 DEFAULT_SELFTEST_MAX_N = 8
 DEFAULT_SELFTEST_ORACLE_MAX_N = 6
+# Copies of lattice_oracle.DEFAULT_GENERIC_KL_BOUND and DEFAULT_LATTICE_BOUND
+# and of whitney2's reading names and default, so that building the parser
+# imports no method module; tests/test_cli.py pins each copy to its source.
+DEFAULT_GENERIC_KL_BOUND = 7
+DEFAULT_LATTICE_BOUND = 9
+PXY_INTERPRETATIONS = ("product-shifted", "w-rank-prev")
+DEFAULT_PXY_INTERPRETATION = "w-rank-prev"
 
 METHODS = ("recursion", "chain", "corollary", "pxy", "oracle")
+
+_METHOD_MODULES = ("chain_formula", "chains", "kl_recursion", "lattice_oracle",
+                   "partitions", "stirling", "whitney2")
+
+
+def __getattr__(name):
+    # ``cli.kl_recursion`` and the like still name the modules, imported on
+    # access; perfbench's tracer test reads ``cli.kl_recursion``
+    if name in _METHOD_MODULES:
+        return import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -65,6 +95,8 @@ def _check_recursion_bound(n: int) -> None:
 def _coeff_by_method(method: str, n: int, i: int, args) -> int:
     if method == "recursion":
         _check_recursion_bound(n)
+        from . import kl_recursion
+
         return kl_recursion.kl_coeff(n, i)
     if method == "chain":
         if n < 2 or i < 0 or 2 * i >= n - 1:
@@ -78,6 +110,8 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
             )
         if bound > DEFAULT_CHAIN_MAX_N:
             _warn_once(args, f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow")
+        from . import chain_formula
+
         return chain_formula.kl_coeff_via_chains(n, i)
     if method == "corollary":
         if i != 1:
@@ -87,6 +121,8 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
         if n > COROLLARY_MAX_N:
             raise UsageError(f"corollary method capped at n <= {COROLLARY_MAX_N}: "
                              "it grows both Stirling triangles to row n")
+        from . import whitney2
+
         return whitney2.kl_c1(n)
     if method == "pxy":
         if n < 2 or i < 1 or 2 * i >= n - 1:
@@ -96,6 +132,8 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
         if i > PXY_MAX_I or n > PXY_MAX_N:
             raise UsageError(f"pxy method capped at i <= {PXY_MAX_I} and n <= {PXY_MAX_N}: "
                              "it sums 2*3^(i-1) cells and grows a Stirling triangle to row n")
+        from . import whitney2
+
         return whitney2.kl_coeff_via_pxy(n, i, args.interpretation)
     if method == "oracle":
         bound = args.oracle_max_n
@@ -103,20 +141,19 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
             raise UsageError(
                 f"oracle method capped at n <= {bound}; raise with --oracle-max-n"
             )
-        if bound > lattice_oracle.DEFAULT_GENERIC_KL_BOUND:
-            _warn_once(
-                args,
-                f"lattice recursion above n={lattice_oracle.DEFAULT_GENERIC_KL_BOUND} may be slow",
-            )
+        if bound > DEFAULT_GENERIC_KL_BOUND:
+            _warn_once(args, f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow")
         if n < 2:
             raise UsageError("oracle method needs n >= 2")
+        from . import lattice_oracle
+
         return lattice_oracle.braid_kl_generic(n).coeff(i)
     raise UsageError(f"unknown method {method!r}")
 
 
 def _check_oracle_bound(args) -> None:
-    if args.oracle_max_n > lattice_oracle.DEFAULT_LATTICE_BOUND:
-        raise UsageError(f"--oracle-max-n is capped at {lattice_oracle.DEFAULT_LATTICE_BOUND}: "
+    if args.oracle_max_n > DEFAULT_LATTICE_BOUND:
+        raise UsageError(f"--oracle-max-n is capped at {DEFAULT_LATTICE_BOUND}: "
                          "the lattice's up masks take about Bell(n)^2 bits")
 
 
@@ -157,6 +194,8 @@ def cmd_poly(args) -> int:
     if n < 1:
         raise UsageError("need n >= 1")
     _check_recursion_bound(n)
+    from . import kl_recursion
+
     p = kl_recursion.kl_braid_poly(n)
     if args.format == "json":
         print(json.dumps({"n": n, "coefficients": p.to_json_obj()}, indent=2))
@@ -174,6 +213,8 @@ def _table_row(n: int, i: int, args):
         base = vals[0][1]
         bad = [(m, v) for m, v in vals if v != base]
         return (n, i, base, bad)
+    from . import kl_recursion
+
     return (n, i, kl_recursion.kl_coeff(n, i), [])
 
 
@@ -229,6 +270,11 @@ def cmd_table(args) -> int:
 
 def cmd_chains(args) -> int:
     n, i = args.n, args.i
+    if n > CHAINS_MAX_N:
+        raise UsageError(f"chains is capped at n <= {CHAINS_MAX_N}: "
+                         "it lists every triple of the index set")
+    from . import chains
+
     try:
         triples = list(chains.enumerate_K(n, i))
     except ValueError as exc:
@@ -244,6 +290,11 @@ def cmd_chains(args) -> int:
 
 def cmd_expand(args) -> int:
     n, i = args.n, args.i
+    if n > EXPAND_MAX_N:
+        raise UsageError(f"expand is capped at n <= {EXPAND_MAX_N}: "
+                         "it renders every triple of the index set")
+    from . import chain_formula
+
     try:
         exp = chain_formula.symbolic_expansion(n, i)
     except ValueError as exc:
@@ -256,6 +307,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_pxy_readings(args) -> int:
+    from . import whitney2
+
     for name, it in whitney2.INTERPRETATIONS.items():
         marker = " (default)" if name == whitney2.DEFAULT_PXY_INTERPRETATION else ""
         print(f"{name}{marker}")
@@ -264,6 +317,8 @@ def cmd_pxy_readings(args) -> int:
 
 
 def _selftest_checks(args):
+    from . import chain_formula, chains, kl_recursion, lattice_oracle, partitions, stirling, whitney2
+
     oracle_n = args.oracle_max_n
     max_n = args.max_n
 
@@ -420,6 +475,8 @@ def _selftest_checks(args):
 
 
 def cmd_selftest(args) -> int:
+    from . import stirling, whitney2
+
     _check_recursion_bound(args.max_n)
     if args.inject_fault == "stirling":
         stirling.default_cache()._inject_fault()
@@ -466,13 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_bounds(p):
         p.add_argument("--chain-max-n", type=int, default=DEFAULT_CHAIN_MAX_N,
                        help=f"cap for the chain method (default {DEFAULT_CHAIN_MAX_N})")
-        p.add_argument("--oracle-max-n", type=int,
-                       default=lattice_oracle.DEFAULT_GENERIC_KL_BOUND,
-                       help="cap for the lattice oracle method "
-                            f"(default {lattice_oracle.DEFAULT_GENERIC_KL_BOUND})")
+        p.add_argument("--oracle-max-n", type=int, default=DEFAULT_GENERIC_KL_BOUND,
+                       help=f"cap for the lattice oracle method (default {DEFAULT_GENERIC_KL_BOUND})")
         p.add_argument("--interpretation",
-                       default=whitney2.DEFAULT_PXY_INTERPRETATION,
-                       choices=sorted(whitney2.INTERPRETATIONS),
+                       default=DEFAULT_PXY_INTERPRETATION,
+                       choices=PXY_INTERPRETATIONS,
                        help="named reading for the pxy method")
 
     p = sub.add_parser("coeff", help="one coefficient C(n, i)")

@@ -22,7 +22,7 @@ before accepting a polynomial; neither check is optional.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .partitions import IntPartition, multiplicity, partitions_of
@@ -105,14 +105,13 @@ def kl_coeff(n: int, i: int, table: KLTable | None = None) -> int:
     return kl_braid_poly(n, table).coeff(i)
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of re-deriving the defining identity for one n."""
 
     n: int
     lhs: IntPoly
     rhs: IntPoly
-    summands: list[tuple[IntPartition, IntPoly]] = field(repr=False, default_factory=list)
+    summands: list[tuple[IntPartition, IntPoly]]
 
     @property
     def equal(self) -> bool:

@@ -43,8 +43,8 @@ is recorded with its first miss, as (n, i): got vs want:
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .partitions import IntPartition, multiplicity
@@ -95,8 +95,7 @@ def kl_c1(n: int) -> int:
 
 # --- the alternating triple sum ----------------------------------------------
 
-@dataclass(frozen=True)
-class PXYIndexData:
+class PXYIndexData(NamedTuple):
     """One cell of the triple sum: chain length r, skip set D, pinned a-vector."""
 
     r: int
@@ -160,8 +159,7 @@ def _read_product_shifted(n: int, i: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(NamedTuple):
     name: str
     func: object
     summary: str
@@ -203,8 +201,7 @@ def kl_coeff_via_pxy(n: int, i: int, interpretation: str = DEFAULT_PXY_INTERPRET
     return reading.func(n, i)
 
 
-@dataclass
-class GridResult:
+class GridResult(NamedTuple):
     name: str
     checked: int
     mismatches: list[tuple[int, int, int, int]]  # (n, i, got, want)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from klbraid import cli, kl_recursion, lattice_oracle, stirling, whitney2
+from klbraid import chain_formula, chains, cli, kl_recursion, lattice_oracle, stirling, whitney2
 from klbraid.kl_recursion import kl_braid_poly
 
 
@@ -236,3 +237,134 @@ def test_python_dash_m_entry():
     # the module runner and the console script share one entry point
     proc = run_cli("--help")
     assert proc.stdout.startswith("usage: klb")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chains", str(cli.CHAINS_MAX_N + 1), "1"],
+    ["chains", "24", "6", "--format", "json"],
+    ["expand", str(cli.EXPAND_MAX_N + 1), "1"],
+    ["expand", "24", "6", "--format", "json"],
+])
+def test_chains_and_expand_caps_fail_before_any_work(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("index set listed despite the cap")
+
+    monkeypatch.setattr(chains, "enumerate_K", refuse)
+    monkeypatch.setattr(chain_formula, "enumerate_K", refuse)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {argv[0]} is capped at n <= ")
+
+
+def test_chains_and_expand_caps_themselves_answer():
+    # the largest i at each cap is the largest index set the command lists
+    n = cli.CHAINS_MAX_N
+    out = run_cli("chains", str(n), str((n - 2) // 2)).stdout
+    assert out.splitlines()[-1] == f"15437 triples for (n={n}, i={(n - 2) // 2})"
+    n = cli.EXPAND_MAX_N
+    out = run_cli("expand", str(n), str((n - 2) // 2)).stdout
+    assert out.splitlines()[-1] == f"total = {kl_recursion.kl_coeff(n, (n - 2) // 2)}"
+
+
+def test_bad_interpretation_is_a_usage_error():
+    proc = run_cli("coeff", "9", "2", "--method", "pxy", "--interpretation", "bogus",
+                   check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert ("klb coeff: error: argument --interpretation: invalid choice: 'bogus' "
+            "(choose from 'product-shifted', 'w-rank-prev')") in proc.stderr.splitlines()
+
+
+def test_interpretation_choices_are_the_registered_readings():
+    want = sorted(whitney2.INTERPRETATIONS)
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    for name in ("coeff", "table"):
+        (action,) = [a for a in commands.choices[name]._actions if a.dest == "interpretation"]
+        assert list(action.choices) == want
+        assert action.default == whitney2.DEFAULT_PXY_INTERPRETATION
+
+
+def test_parser_constants_match_their_sources():
+    # the parser reads copies so that building it imports no method module
+    assert cli.DEFAULT_GENERIC_KL_BOUND == lattice_oracle.DEFAULT_GENERIC_KL_BOUND
+    assert cli.DEFAULT_LATTICE_BOUND == lattice_oracle.DEFAULT_LATTICE_BOUND
+    assert cli.PXY_INTERPRETATIONS == tuple(sorted(whitney2.INTERPRETATIONS))
+    assert cli.DEFAULT_PXY_INTERPRETATION == whitney2.DEFAULT_PXY_INTERPRETATION
+
+
+# sha256 of each --help text at 80 columns
+HELP_DIGESTS = {
+    "": "8252e06252b2cc4dc0d0b38b8bbe7133695c9ded3eb6bfffd360c34586474dfd",
+    "coeff": "090996041ae6bd39d38b7073333234e44b2c8b72c99ec6d279cdf847e65ebf9a",
+    "poly": "95f749203b03f8bf3d671eb72c0c946972a7de33fb07d313123e87f8a9723900",
+    "table": "08cd22f9cd5cfc6b8786174abcd93d2da8b46924cf9a91d3a10e636df096e171",
+    "chains": "d5721ed91c5407e676c0ecd2f6faef1df8867252368dc103440b672f3f8a1bb3",
+    "expand": "7495092138bfb2bf956ba7b21f4b9eef80a84d79a941e2581ff8e2f67bca2174",
+    "pxy-readings": "34d81b894085896a55f5252e4c587c56dd32b224be340c06862b2772c364320e",
+    "selftest": "773b503f375b78d2e90a8e928adc1aba8677b6c2bf81f21ff0f6e47dba7306d9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_frozen(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: klb {command}".rstrip())
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("klbraid"))
+
+preloaded = "dataclasses" in sys.modules
+import klbraid
+report = {"preloaded": preloaded, "package": loaded()}
+from klbraid import cli
+cli.build_parser()
+report["parser"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["coeff", "8", "2", "--method", "oracle", "--oracle-max-n", "8"])
+    report["oracle"] = loaded()
+    for argv in (
+        ["coeff", "7", "2", "--all-methods"],
+        ["poly", "9"],
+        ["table", "--max-n", "7", "--all-methods", "--oracle-max-n", "5"],
+        ["chains", "6", "2"],
+        ["expand", "6", "2", "--format", "json"],
+        ["pxy-readings"],
+        ["selftest", "--max-n", "6", "--oracle-max-n", "5"],
+    ):
+        cli.main(argv)
+report["dataclasses"] = "dataclasses" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_commands_load_only_the_modules_they_run():
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["package"] == ["klbraid"]
+    assert report["parser"] == ["klbraid", "klbraid.cli", "klbraid.errors"]
+    assert report["oracle"] == [
+        "klbraid", "klbraid.cli", "klbraid.errors", "klbraid.lattice_oracle",
+        "klbraid.partitions", "klbraid.polynomial",
+    ]
+    if report["preloaded"]:
+        pytest.skip("the interpreter imports dataclasses at start-up")
+    assert not report["dataclasses"]
+
+
+def test_cli_still_names_the_method_modules():
+    assert cli.kl_recursion is kl_recursion
+    assert cli.lattice_oracle is lattice_oracle
+    with pytest.raises(AttributeError):
+        cli.no_such_module  # noqa: B018
