@@ -208,7 +208,7 @@ def term_text(breakdown: TermBreakdown) -> str:
 
 class ExpansionGroup:
     """One top partition's terms and their subtotal; ``symbolic_expansion``
-    extends both while it merges runs, so this is not a tuple."""
+    extends both as it meets the partition's terms, so this is not a tuple."""
 
     __slots__ = ("lambda1", "terms", "value")
 
@@ -259,31 +259,19 @@ class SymbolicExpansion(NamedTuple):
 
 def symbolic_expansion(n: int, i: int) -> SymbolicExpansion:
     """The full audited sum for (n, i), grouped by lam_1 in canonical order."""
-    groups: list[ExpansionGroup] = []
+    # enumeration is sorted by (q, Lambda, A), so one lam_1 may recur after
+    # others; the dict keeps each group at its first appearance
+    groups: dict[IntPartition, ExpansionGroup] = {}
     for triple in enumerate_K(n, i):
         tb = term_value(triple, audit=True)
-        text = term_text(tb)
         lam1 = triple.Lambda[0]
-        if groups and groups[-1].lambda1 == lam1:
-            groups[-1].terms.append((tb, text))
-            groups[-1].value += tb.value
-        else:
-            groups.append(ExpansionGroup(lambda1=lam1, terms=[(tb, text)], value=tb.value))
-    # enumeration is sorted by (q, Lambda, A), so one lam_1 may appear in
-    # several runs; merge runs while keeping first-appearance order
-    merged: dict[IntPartition, ExpansionGroup] = {}
-    order: list[IntPartition] = []
-    for g in groups:
-        if g.lambda1 in merged:
-            merged[g.lambda1].terms.extend(g.terms)
-            merged[g.lambda1].value += g.value
-        else:
-            merged[g.lambda1] = g
-            order.append(g.lambda1)
-    final = [merged[lam] for lam in order]
-    return SymbolicExpansion(
-        n=n, i=i, groups=final, total=sum(g.value for g in final)
-    )
+        g = groups.get(lam1)
+        if g is None:
+            g = groups[lam1] = ExpansionGroup(lambda1=lam1, terms=[], value=0)
+        g.terms.append((tb, term_text(tb)))
+        g.value += tb.value
+    final = list(groups.values())
+    return SymbolicExpansion(n=n, i=i, groups=final, total=sum(g.value for g in final))
 
 
 def group_values(n: int, i: int) -> dict[tuple[int, ...], int]:

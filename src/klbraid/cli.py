@@ -7,6 +7,11 @@ disagreement or mandatory self-test failure, 2 usage error.
 Output is deterministic: identical invocations produce byte-identical
 output.
 
+This module only parses arguments and dispatches.  ``_refusal`` states
+each method's domain and cap once: ``coeff --method`` exits 2 with its
+message, and ``--all-methods`` runs exactly the methods it lets through.
+The self-test battery lives in ``klbraid.checks``.
+
 Each command imports the method modules it runs, and no others, when it
 runs: building the parser needs only the constants below, so a ``klb``
 process that answers from the lattice oracle never loads the chain or
@@ -20,8 +25,6 @@ import csv
 import json
 import sys
 from importlib import import_module
-from itertools import combinations_with_replacement
-from math import factorial
 
 from .errors import InternalConsistencyError, OracleBoundError
 
@@ -86,69 +89,71 @@ def _coeff_index_count(n: int) -> int:
     return max(1, (n - 2) // 2 + 1) if n >= 2 else 1
 
 
-def _check_recursion_bound(n: int) -> None:
-    if n > RECURSION_MAX_N:
-        raise UsageError(f"the recursion is capped at n <= {RECURSION_MAX_N}: "
-                         "it walks every integer partition of n")
+def _refusal(method: str, n: int, i: int, args) -> str | None:
+    """The usage error that ``coeff n i --method method`` exits 2 with, or
+    None when the method answers: each method's domain and cap, stated once."""
+    if method == "recursion":
+        if n > RECURSION_MAX_N:
+            return (f"the recursion is capped at n <= {RECURSION_MAX_N}: "
+                    "it walks every integer partition of n")
+    elif method == "chain":
+        if n < 2 or i < 0 or 2 * i >= n - 1:
+            return f"chain method needs n >= 2 and 0 <= i < (n-1)/2; got n={n} i={i}"
+        if n > args.chain_max_n:
+            return f"chain method capped at n <= {args.chain_max_n}; raise with --chain-max-n"
+    elif method == "corollary":
+        if i != 1:
+            return "corollary method computes i = 1 only"
+        if n < 2:
+            return "corollary method needs n >= 2"
+        if n > COROLLARY_MAX_N:
+            return (f"corollary method capped at n <= {COROLLARY_MAX_N}: "
+                    "it grows both Stirling triangles to row n")
+    elif method == "pxy":
+        if n < 2 or i < 1 or 2 * i >= n - 1:
+            return f"pxy method needs 0 < i < (n-1)/2; got n={n} i={i}"
+        if i > PXY_MAX_I or n > PXY_MAX_N:
+            return (f"pxy method capped at i <= {PXY_MAX_I} and n <= {PXY_MAX_N}: "
+                    "it sums 2*3^(i-1) cells and grows a Stirling triangle to row n")
+    elif method == "oracle":
+        if n > args.oracle_max_n:
+            return f"oracle method capped at n <= {args.oracle_max_n}; raise with --oracle-max-n"
+        if n < 2:
+            return "oracle method needs n >= 2"
+    else:
+        return f"unknown method {method!r}"
+    return None
+
+
+def _require(method: str, n: int, i: int, args) -> None:
+    message = _refusal(method, n, i, args)
+    if message is not None:
+        raise UsageError(message)
 
 
 def _coeff_by_method(method: str, n: int, i: int, args) -> int:
+    _require(method, n, i, args)
     if method == "recursion":
-        _check_recursion_bound(n)
         from . import kl_recursion
 
         return kl_recursion.kl_coeff(n, i)
     if method == "chain":
-        if n < 2 or i < 0 or 2 * i >= n - 1:
-            raise UsageError(
-                f"chain method needs n >= 2 and 0 <= i < (n-1)/2; got n={n} i={i}"
-            )
-        bound = args.chain_max_n
-        if n > bound:
-            raise UsageError(
-                f"chain method capped at n <= {bound}; raise with --chain-max-n"
-            )
-        if bound > DEFAULT_CHAIN_MAX_N:
+        if args.chain_max_n > DEFAULT_CHAIN_MAX_N:
             _warn_once(args, f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow")
         from . import chain_formula
 
         return chain_formula.kl_coeff_via_chains(n, i)
-    if method == "corollary":
-        if i != 1:
-            raise UsageError("corollary method computes i = 1 only")
-        if n < 2:
-            raise UsageError("corollary method needs n >= 2")
-        if n > COROLLARY_MAX_N:
-            raise UsageError(f"corollary method capped at n <= {COROLLARY_MAX_N}: "
-                             "it grows both Stirling triangles to row n")
-        from . import whitney2
-
-        return whitney2.kl_c1(n)
-    if method == "pxy":
-        if n < 2 or i < 1 or 2 * i >= n - 1:
-            raise UsageError(
-                f"pxy method needs 0 < i < (n-1)/2; got n={n} i={i}"
-            )
-        if i > PXY_MAX_I or n > PXY_MAX_N:
-            raise UsageError(f"pxy method capped at i <= {PXY_MAX_I} and n <= {PXY_MAX_N}: "
-                             "it sums 2*3^(i-1) cells and grows a Stirling triangle to row n")
-        from . import whitney2
-
-        return whitney2.kl_coeff_via_pxy(n, i, args.interpretation)
     if method == "oracle":
-        bound = args.oracle_max_n
-        if n > bound:
-            raise UsageError(
-                f"oracle method capped at n <= {bound}; raise with --oracle-max-n"
-            )
-        if bound > DEFAULT_GENERIC_KL_BOUND:
+        if args.oracle_max_n > DEFAULT_GENERIC_KL_BOUND:
             _warn_once(args, f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow")
-        if n < 2:
-            raise UsageError("oracle method needs n >= 2")
         from . import lattice_oracle
 
         return lattice_oracle.braid_kl_generic(n).coeff(i)
-    raise UsageError(f"unknown method {method!r}")
+    from . import whitney2
+
+    if method == "corollary":
+        return whitney2.kl_c1(n)
+    return whitney2.kl_coeff_via_pxy(n, i, args.interpretation)
 
 
 def _check_oracle_bound(args) -> None:
@@ -157,17 +162,15 @@ def _check_oracle_bound(args) -> None:
                          "the lattice's up masks take about Bell(n)^2 bits")
 
 
-def _applicable_methods(n: int, i: int, args):
-    out = ["recursion"]
-    if n >= 2 and 0 <= i and 2 * i < n - 1 and n <= args.chain_max_n:
-        out.append("chain")
-    if i == 1 and n >= 2:
-        out.append("corollary")
-    if 2 <= n <= PXY_MAX_N and 1 <= i <= PXY_MAX_I and 2 * i < n - 1:
-        out.append("pxy")
-    if 2 <= n <= args.oracle_max_n:
-        out.append("oracle")
-    return out
+def _applicable_methods(n: int, i: int, args) -> list[str]:
+    return [m for m in METHODS if _refusal(m, n, i, args) is None]
+
+
+def _method_values(n: int, i: int, args) -> list[tuple[str, int]]:
+    """(method, C(n, i)) for each applicable method.  The recursion's cap
+    refuses the whole request, since every row is checked against it."""
+    _require("recursion", n, i, args)
+    return [(m, _coeff_by_method(m, n, i, args)) for m in _applicable_methods(n, i, args)]
 
 
 def cmd_coeff(args) -> int:
@@ -176,12 +179,11 @@ def cmd_coeff(args) -> int:
     if n < 1 or i < 0:
         raise UsageError("need n >= 1 and i >= 0")
     if args.all_methods:
-        rows = [(m, _coeff_by_method(m, n, i, args)) for m in _applicable_methods(n, i, args)]
+        rows = _method_values(n, i, args)
         width = max(len(m) for m, _ in rows)
         for m, v in rows:
             print(f"{m:<{width}}  {v}")
-        values = {v for _, v in rows}
-        if len(values) > 1:
+        if len({v for _, v in rows}) > 1:
             print(f"disagreement among methods for C({n},{i})", file=sys.stderr)
             return 1
         return 0
@@ -193,7 +195,7 @@ def cmd_poly(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("need n >= 1")
-    _check_recursion_bound(n)
+    _require("recursion", n, 0, args)
     from . import kl_recursion
 
     p = kl_recursion.kl_braid_poly(n)
@@ -204,26 +206,20 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _table_row(n: int, i: int, args):
-    if args.all_methods:
-        vals = [
-            (m, _coeff_by_method(m, n, i, args))
-            for m in _applicable_methods(n, i, args)
-        ]
-        base = vals[0][1]
-        bad = [(m, v) for m, v in vals if v != base]
-        return (n, i, base, bad)
+def _table_rows(args):
+    # (n, i, C(n, i), the (method, value) pairs that disagree with the recursion)
     from . import kl_recursion
 
-    return (n, i, kl_recursion.kl_coeff(n, i), [])
-
-
-def _table_rows(args):
-    return [
-        _table_row(n, i, args)
-        for n in range(2, args.max_n + 1)
-        for i in range(_coeff_index_count(n))
-    ]
+    rows = []
+    for n in range(2, args.max_n + 1):
+        for i in range(_coeff_index_count(n)):
+            if args.all_methods:
+                vals = _method_values(n, i, args)
+            else:
+                vals = [("recursion", kl_recursion.kl_coeff(n, i))]
+            c = vals[0][1]
+            rows.append((n, i, c, [(m, v) for m, v in vals if v != c]))
+    return rows
 
 
 def _emit_table(rows, fmt):
@@ -233,11 +229,7 @@ def _emit_table(rows, fmt):
         for n, i, c, _ in rows:
             writer.writerow([n, i, c])
     elif fmt == "json":
-        print(
-            json.dumps(
-                [{"n": n, "i": i, "c": str(c)} for n, i, c, _ in rows], indent=2
-            )
-        )
+        print(json.dumps([{"n": n, "i": i, "c": str(c)} for n, i, c, _ in rows], indent=2))
     elif fmt == "md":
         print("| n | i | c |")
         print("| --- | --- | --- |")
@@ -257,48 +249,45 @@ def cmd_table(args) -> int:
     _check_oracle_bound(args)
     if args.max_n < 2:
         raise UsageError("need --max-n >= 2")
-    _check_recursion_bound(args.max_n)
+    _require("recursion", args.max_n, 0, args)
     rows = _table_rows(args)
     _emit_table(rows, args.format)
     disagreements = [(n, i, bad) for n, i, _, bad in rows if bad]
-    if disagreements:
-        for n, i, bad in disagreements:
-            print(f"disagreement at C({n},{i}): {bad}", file=sys.stderr)
-        return 1
-    return 0
+    for n, i, bad in disagreements:
+        print(f"disagreement at C({n},{i}): {bad}", file=sys.stderr)
+    return 1 if disagreements else 0
+
+
+def _index_set_listing(args, cap: int, verb: str, build):
+    """``build(n, i)`` for ``chains`` and ``expand``: n above ``cap`` and a
+    ValueError from ``build`` are usage errors."""
+    if args.n > cap:
+        raise UsageError(f"{args.command} is capped at n <= {cap}: "
+                         f"it {verb} every triple of the index set")
+    try:
+        return build(args.n, args.i)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_chains(args) -> int:
-    n, i = args.n, args.i
-    if n > CHAINS_MAX_N:
-        raise UsageError(f"chains is capped at n <= {CHAINS_MAX_N}: "
-                         "it lists every triple of the index set")
     from . import chains
 
-    try:
-        triples = list(chains.enumerate_K(n, i))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    triples = _index_set_listing(args, CHAINS_MAX_N, "lists",
+                                 lambda n, i: list(chains.enumerate_K(n, i)))
     if args.format == "json":
         print(json.dumps([t.to_json_obj() for t in triples], indent=2))
     else:
         for t in triples:
             print(t)
-        print(f"{len(triples)} triples for (n={n}, i={i})")
+        print(f"{len(triples)} triples for (n={args.n}, i={args.i})")
     return 0
 
 
 def cmd_expand(args) -> int:
-    n, i = args.n, args.i
-    if n > EXPAND_MAX_N:
-        raise UsageError(f"expand is capped at n <= {EXPAND_MAX_N}: "
-                         "it renders every triple of the index set")
     from . import chain_formula
 
-    try:
-        exp = chain_formula.symbolic_expansion(n, i)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    exp = _index_set_listing(args, EXPAND_MAX_N, "renders", chain_formula.symbolic_expansion)
     if args.format == "json":
         print(json.dumps(exp.to_json_obj(), indent=2))
     else:
@@ -316,201 +305,11 @@ def cmd_pxy_readings(args) -> int:
     return 0
 
 
-def _selftest_checks(args):
-    from . import chain_formula, chains, kl_recursion, lattice_oracle, partitions, stirling, whitney2
-
-    oracle_n = args.oracle_max_n
-    max_n = args.max_n
-
-    def check_base_case():
-        vals = {
-            m: _coeff_by_method(m, 2, 0, args) for m in _applicable_methods(2, 0, args)
-        }
-        return set(vals.values()) == {1}, f"methods {sorted(vals)}"
-
-    def check_chain_example():
-        got = list(chains.enumerate_K(2, 0))
-        if len(got) != 1 or got[0].to_json_obj() != {"lambda": [[2]], "alpha": [1], "xi": [0]}:
-            return False, f"unexpected index set {got}"
-        bad = chains.KLChainTriple(
-            (partitions.IntPartition([1, 1]), partitions.IntPartition([2])),
-            (1, 1),
-            (0, 0),
-        )
-        rep = chains.validate_triple(bad, 2, 0)
-        return (not rep.passed and "v" in rep.failed), f"rejected via {rep.failed}"
-
-    def check_stirling_tables():
-        for n in range(0, 13):
-            p = stirling.falling_factorial_poly(n)
-            for k in range(n + 1):
-                if p.coeff(k) != stirling.stirling_first(n, k):
-                    return False, f"first-kind table off at ({n},{k})"
-        for n in range(0, 11):
-            for t in range(0, n + 1):
-                total = 0
-                for k in range(n + 1):
-                    ff = 1
-                    for j in range(k):
-                        ff *= t - j
-                    total += stirling.stirling_second(n, k) * ff
-                if total != t**n:
-                    return False, f"second-kind inversion off at n={n}, t={t}"
-        return True, "first kind vs product, second kind vs inversion"
-
-    def check_stirling_nonrecursive():
-        for n in range(1, 13):
-            for m in range(1, n + 1):
-                if stirling.stirling_first_nonrecursive(n, m) != stirling.stirling_first(n, m):
-                    return False, f"mismatch at ({n},{m})"
-        return True, "1 <= m <= n <= 12"
-
-    def check_charpoly():
-        top = min(oracle_n, 8)
-        for n in range(2, top + 1):
-            L = lattice_oracle.build_partition_lattice(n)
-            if lattice_oracle.char_poly(L) != stirling.partition_char_poly(n):
-                return False, f"characteristic polynomial off at n={n}"
-        return True, f"n <= {top}"
-
-    def check_flag_whitney():
-        top = min(oracle_n, 6)
-        for n in range(2, top + 1):
-            L = lattice_oracle.build_partition_lattice(n)
-            rk = L.rank
-            idxs = [()]
-            for length in range(1, rk + 1):
-                idxs.extend(combinations_with_replacement(range(1, rk + 1), length))
-            for I in idxs:
-                if lattice_oracle.flag_whitney_bruteforce(L, I) != whitney2.flag_whitney_product(n, I):
-                    return False, f"flag count off at n={n}, I={I}"
-        return True, f"n <= {top}, all weakly increasing indices"
-
-    def check_mobius():
-        for n in range(2, min(oracle_n, 7) + 1):
-            L = lattice_oracle.build_partition_lattice(n)
-            want = (-1) ** (n - 1) * factorial(n - 1)
-            if lattice_oracle.mobius(L, L.bottom, L.top) != want:
-                return False, f"mu(bottom, top) off at n={n}"
-        return True, f"n <= {min(oracle_n, 7)}"
-
-    def check_multiplicity_census():
-        top = min(oracle_n, 8)
-        for n in range(1, top + 1):
-            census: dict[tuple, int] = {}
-            count = 0
-            for sp in partitions.set_partitions_of(n):
-                count += 1
-                shape = partitions.shape_of(sp).blocks
-                census[shape] = census.get(shape, 0) + 1
-            if count != stirling.bell_number(n):
-                return False, f"Bell count off at n={n}"
-            for lam in partitions.partitions_of(n):
-                if census.get(lam.blocks, 0) != partitions.multiplicity(lam):
-                    return False, f"multiplicity off at {lam}"
-        return True, f"n <= {top}, shape census and Bell totals"
-
-    def check_method_grid():
-        bad = [
-            (n, i)
-            for n in range(2, min(max_n, args.chain_max_n) + 1)
-            for i in range(_coeff_index_count(n))
-            if chain_formula.kl_coeff_via_chains(n, i) != kl_recursion.kl_coeff(n, i)
-        ]
-        if bad:
-            return False, f"chain vs recursion mismatch at {bad[:5]}"
-        return True, f"chain vs recursion, n <= {min(max_n, args.chain_max_n)}"
-
-    def check_generic_oracle():
-        top = min(oracle_n, lattice_oracle.DEFAULT_GENERIC_KL_BOUND)
-        for n in range(2, top + 1):
-            if lattice_oracle.braid_kl_generic(n) != kl_recursion.kl_braid_poly(n):
-                return False, f"lattice recursion off at n={n}"
-        return True, f"n <= {top}"
-
-    def check_degree_one():
-        for n in range(4, 26):
-            if whitney2.kl_c1(n) != kl_recursion.kl_coeff(n, 1):
-                return False, f"degree-one closed form off at n={n}"
-        spots = {4: 1, 5: 5, 6: 16, 7: 42}
-        for n, want in spots.items():
-            if whitney2.kl_c1(n) != want:
-                return False, f"spot value off at n={n}"
-        return True, "4 <= n <= 25 plus frozen spot values"
-
-    def check_defining_identity():
-        for n in range(2, 21):
-            if not kl_recursion.verify_defining_identity(n).equal:
-                return False, f"identity fails at n={n}"
-        return True, "n <= 20"
-
-    def check_k_n0():
-        for n in range(2, 13):
-            got = list(chains.enumerate_K(n, 0))
-            ok = (
-                len(got) == 1
-                and got[0].Lambda[0].blocks == (n,)
-                and got[0].A == (n - 1,)
-                and got[0].Xi == (0,)
-            )
-            if not ok:
-                return False, f"index set for i=0 wrong at n={n}"
-        return True, "n <= 12"
-
-    return [
-        ("base_case", check_base_case),
-        ("chain_example_2_0", check_chain_example),
-        ("stirling_tables", check_stirling_tables),
-        ("stirling_nonrecursive", check_stirling_nonrecursive),
-        ("charpoly_oracle", check_charpoly),
-        ("flag_whitney_oracle", check_flag_whitney),
-        ("mobius_factorial", check_mobius),
-        ("multiplicity_census", check_multiplicity_census),
-        ("method_grid", check_method_grid),
-        ("generic_oracle", check_generic_oracle),
-        ("degree_one_closed_form", check_degree_one),
-        ("defining_identity", check_defining_identity),
-        ("index_set_i0_unique", check_k_n0),
-    ]
-
-
 def cmd_selftest(args) -> int:
-    from . import stirling, whitney2
+    _require("recursion", args.max_n, 0, args)
+    from . import checks
 
-    _check_recursion_bound(args.max_n)
-    if args.inject_fault == "stirling":
-        stirling.default_cache()._inject_fault()
-    checks = _selftest_checks(args)
-    failures = 0
-    for name, fn in checks:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"check {name:<24} {status}  ({detail})")
-    print("pxy reading selection (advisory):")
-    report = whitney2.pxy_grid_report(max_n=min(args.max_n, 10), max_i=2)
-    promoted = None
-    for name, res in report.items():
-        if res.matches:
-            mark = "matches grid"
-            if promoted is None:
-                promoted = name
-        else:
-            first = res.mismatches[0]
-            mark = f"mismatch at (n={first[0]}, i={first[1]}): got {first[2]}, want {first[3]}"
-        print(f"  {name:<24} {mark}")
-    if promoted:
-        print(f"  promoted default: {promoted}")
-    else:
-        print("  no reading matches; nearest misses above (advisory, not a failure)")
-    total = len(checks)
-    print(f"selftest: {'PASS' if failures == 0 else 'FAIL'} "
-          f"({total - failures}/{total} mandatory checks)")
-    return 1 if failures else 0
+    return checks.run(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=DEFAULT_SELFTEST_MAX_N)
     p.add_argument("--oracle-max-n", type=int, default=DEFAULT_SELFTEST_ORACLE_MAX_N)
     p.add_argument("--chain-max-n", type=int, default=DEFAULT_CHAIN_MAX_N)
-    p.add_argument("--inject-fault", choices=("stirling",), help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -585,10 +383,7 @@ def main(argv=None) -> int:
     args.warned = set()
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleBoundError as exc:
+    except (UsageError, OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

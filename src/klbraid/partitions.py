@@ -30,7 +30,7 @@ class IntPartition:
         bs = sorted(blocks, reverse=True)
         if not bs:
             raise ValueError("partition must have at least one block")
-        if any(not isinstance(b, int) or b < 1 for b in bs):
+        if any(type(b) is not int or b < 1 for b in bs):
             raise ValueError(f"blocks must be positive ints: {blocks!r}")
         self.blocks = tuple(bs)
 

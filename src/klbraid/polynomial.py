@@ -22,7 +22,7 @@ class IntPoly:
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"coefficients must be ints, got {c!r}")
         while cs and cs[-1] == 0:
             cs.pop()

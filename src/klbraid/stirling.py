@@ -29,7 +29,6 @@ over 1 <= m <= n <= 12.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from math import factorial
 
 from .errors import InternalConsistencyError
@@ -88,15 +87,6 @@ class StirlingCache:
                     row[k] = prev[k - 1] + k * above
                 self._second.append(row)
 
-    def _inject_fault(self):
-        """Deliberately corrupt both tables.  Test hook for the self-test's
-        negative control; never called in normal operation."""
-        self.first(8, 3)
-        self.second(8, 3)
-        with self._lock:
-            self._first[7][3] += 1
-            self._second[7][3] += 1
-
 
 _DEFAULT_CACHE = StirlingCache()
 
@@ -122,6 +112,10 @@ def stirling_first_nonrecursive(n: int, m: int) -> int:
     every step); the final value must be an integer or something is badly
     wrong.
     """
+    # only the self-test and the tests call this, so no other command
+    # loads fractions (and with it decimal)
+    from fractions import Fraction
+
     if m < 1 or m > n:
         raise ValueError("need 1 <= m <= n")
     # e[j] accumulates e_j(1, 1/2, ..., 1/i) as i sweeps 1..n-1

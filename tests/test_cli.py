@@ -9,6 +9,7 @@ import pytest
 
 from klbraid import chain_formula, chains, cli, kl_recursion, lattice_oracle, stirling, whitney2
 from klbraid.kl_recursion import kl_braid_poly
+from klbraid.polynomial import IntPoly
 
 
 def run_cli(*args, check=True):
@@ -180,6 +181,37 @@ def test_no_pxy_row_above_the_caps(capsys):
     assert "pxy" not in cli._applicable_methods(cli.PXY_MAX_N + 1, 2, args)
 
 
+# every cell with n <= 40 and i up to just past the middle, which holds the
+# oracle's and the lowered chain cap's edges, plus the edges above 40: the
+# corollary and pxy at n = 500 and 501, pxy at i = 10 and 11 there, and the
+# chain at its default cap of 60 and 61
+_RULE_CELLS = [
+    *((n, i) for n in range(1, 41) for i in range(n // 2 + 2)),
+    (500, 1), (501, 1), (500, 2), (501, 2), (500, 10), (500, 11),
+    (60, 1), (61, 1), (60, 29), (61, 29),
+]
+
+
+@pytest.mark.parametrize("bounds", [[], ["--chain-max-n", "12", "--oracle-max-n", "5"]],
+                         ids=["default-bounds", "lowered-bounds"])
+def test_method_list_matches_single_method_answers(bounds, monkeypatch, capsys):
+    # stub every method, so that only the rules for refusing a cell run
+    monkeypatch.setattr(kl_recursion, "kl_coeff", lambda n, i: 0)
+    monkeypatch.setattr(chain_formula, "kl_coeff_via_chains", lambda n, i: 0)
+    monkeypatch.setattr(whitney2, "kl_c1", lambda n: 0)
+    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i, interpretation: 0)
+    monkeypatch.setattr(lattice_oracle, "braid_kl_generic", lambda n: IntPoly.zero())
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    for n, i in _RULE_CELLS:
+        args = parser.parse_args(["coeff", str(n), str(i), *bounds])
+        listed = cli._applicable_methods(n, i, args)
+        answers = [m for m in cli.METHODS
+                   if cli.main(["coeff", str(n), str(i), "--method", m, *bounds]) == 0]
+        assert listed == answers, (n, i)
+    capsys.readouterr()
+
+
 def test_chain_row_past_old_default(capsys):
     assert cli.main(["coeff", "14", "2", "--all-methods"]) == 0
     rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
@@ -216,14 +248,59 @@ def test_selftest_passes():
     assert "promoted default: w-rank-prev" in proc.stdout
 
 
+# runs klb with row 7, column 3 of both shared Stirling tables off by one
+_CORRUPT_STIRLING = """
+import sys
+from klbraid import cli, stirling
+cache = stirling.default_cache()
+cache.first(8, 3)
+cache.second(8, 3)
+cache._first[7][3] += 1
+cache._second[7][3] += 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_cli_corrupted(*args):
+    return subprocess.run([sys.executable, "-c", _CORRUPT_STIRLING, *args],
+                          capture_output=True, text=True)
+
+
 def test_selftest_detects_injected_fault():
-    proc = run_cli(
-        "selftest", "--max-n", "6", "--oracle-max-n", "5",
-        "--inject-fault", "stirling", check=False,
-    )
+    proc = run_cli_corrupted("selftest", "--max-n", "6", "--oracle-max-n", "5")
     assert proc.returncode == 1
     assert "selftest: FAIL" in proc.stdout
     assert "stirling_tables" in proc.stdout
+
+
+def test_selftest_output_is_frozen():
+    # sha256 of stdout as it was when the battery moved out of cli.py
+    argv = ("selftest", "--max-n", "6", "--oracle-max-n", "5")
+    for proc, code, digest in [
+        (run_cli(*argv, check=False), 0,
+         "a2a026c0c57171ca97b07567ecefdcb70c5a0fd2c3598f2a413991cacadbed2e"),
+        (run_cli_corrupted(*argv), 1,
+         "4cda81e662e27cb706d4b51effdcf28c2d7b92247e60932ab68d5007a89df995"),
+    ]:
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_selftest_builds_each_lattice_once(monkeypatch, capsys):
+    built = []
+    real_build = lattice_oracle.build_partition_lattice
+
+    def counting_build(n, *rest, **kw):
+        built.append(n)
+        return real_build(n, *rest, **kw)
+
+    monkeypatch.setattr(lattice_oracle, "build_partition_lattice", counting_build)
+    monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
+    assert cli.main(["selftest", "--max-n", "6", "--oracle-max-n", "6"]) == 0
+    assert "selftest: PASS" in capsys.readouterr().out
+    # the base case's oracle cell solves n = 2 through braid_kl_generic, as
+    # coeff does; the lattice checks then share one build per n
+    assert built == [2, 2, 3, 4, 5, 6]
 
 
 def test_usage_errors_exit_two():
@@ -325,17 +402,19 @@ def loaded():
     return sorted(m for m in sys.modules if m.startswith("klbraid"))
 
 preloaded = "dataclasses" in sys.modules
+report = {"fractions_preloaded": "fractions" in sys.modules or "decimal" in sys.modules}
 import klbraid
-report = {"preloaded": preloaded, "package": loaded()}
+report.update(preloaded=preloaded, package=loaded())
 from klbraid import cli
 cli.build_parser()
 report["parser"] = loaded()
+report["commands"] = []
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["coeff", "8", "2", "--method", "oracle", "--oracle-max-n", "8"])
     report["oracle"] = loaded()
     for argv in (
-        ["coeff", "7", "2", "--all-methods"],
         ["poly", "9"],
+        ["coeff", "7", "2", "--all-methods"],
         ["table", "--max-n", "7", "--all-methods", "--oracle-max-n", "5"],
         ["chains", "6", "2"],
         ["expand", "6", "2", "--format", "json"],
@@ -343,6 +422,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["selftest", "--max-n", "6", "--oracle-max-n", "5"],
     ):
         cli.main(argv)
+        report["commands"].append([argv[0], loaded(), sorted(
+            m for m in ("fractions", "decimal") if m in sys.modules)])
 report["dataclasses"] = "dataclasses" in sys.modules
 print(json.dumps(report))
 """
@@ -358,6 +439,13 @@ def test_commands_load_only_the_modules_they_run():
         "klbraid", "klbraid.cli", "klbraid.errors", "klbraid.lattice_oracle",
         "klbraid.partitions", "klbraid.polynomial",
     ]
+    # the battery's module loads with selftest, and with no other command
+    *others, (last, modules, _) = report["commands"]
+    assert last == "selftest" and "klbraid.checks" in modules
+    assert all("klbraid.checks" not in modules for _, modules, _ in others)
+    # only the self-test's nonrecursive Stirling check needs exact rationals
+    if not report["fractions_preloaded"]:
+        assert [name for name, _, numeric in others if numeric] == []
     if report["preloaded"]:
         pytest.skip("the interpreter imports dataclasses at start-up")
     assert not report["dataclasses"]

@@ -33,6 +33,14 @@ def test_partition_validation():
         IntPartition([])
 
 
+def test_partition_blocks_must_be_ints():
+    # bool is an int subclass, and would print as "2+True"
+    with pytest.raises(ValueError):
+        IntPartition([True, 2])
+    with pytest.raises(ValueError):
+        IntPartition([2.0])
+
+
 def test_partition_parse_and_str():
     lam = IntPartition.parse("3+1+1")
     assert lam == IntPartition([3, 1, 1])

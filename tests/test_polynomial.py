@@ -14,6 +14,15 @@ def test_trailing_zeros_stripped():
     assert IntPoly([]) == IntPoly.zero()
 
 
+def test_coefficients_must_be_ints():
+    # bool is an int subclass, and would serialize as "True"
+    with pytest.raises(ValueError):
+        IntPoly([True, 2])
+    with pytest.raises(ValueError):
+        IntPoly([1.0])
+    assert IntPoly([0, 2]).to_json_obj() == ["0", "2"]
+
+
 def test_degree_conventions():
     assert IntPoly.zero().degree == -1
     assert IntPoly.one().degree == 0

@@ -129,7 +129,8 @@ def test_second_kind_inverts_first_kind():
 
 def test_private_cache_instance_is_independent():
     cache = StirlingCache()
-    cache._inject_fault()
+    cache.first(8, 3)
+    cache._first[7][3] += 1
     assert cache.first(7, 3) != stirling_first(7, 3)
     assert stirling_first(7, 3, cache) == cache.first(7, 3)
     # the shared default cache is untouched
