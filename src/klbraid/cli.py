@@ -1,7 +1,7 @@
 """Command-line interface (installed as ``klb``).
 
 Subcommands: ``coeff``, ``poly``, ``table``, ``chains``, ``expand``,
-``pxy-readings``, ``selftest``.  Exit codes: 0 success, 1 cross-method
+``selftest``.  Exit codes: 0 success, 1 cross-method
 disagreement or mandatory self-test failure, 2 usage error.
 
 Output is deterministic: identical invocations produce byte-identical
@@ -50,13 +50,11 @@ CHAINS_MAX_N = 15
 EXPAND_MAX_N = 14
 DEFAULT_SELFTEST_MAX_N = 8
 DEFAULT_SELFTEST_ORACLE_MAX_N = 6
-# Copies of lattice_oracle.DEFAULT_GENERIC_KL_BOUND and DEFAULT_LATTICE_BOUND
-# and of whitney2's reading names and default, so that building the parser
-# imports no method module; tests/test_cli.py pins each copy to its source.
+# Copies of lattice_oracle.DEFAULT_GENERIC_KL_BOUND and DEFAULT_LATTICE_BOUND,
+# so that building the parser imports no method module; tests/test_cli.py
+# pins each copy to its source.
 DEFAULT_GENERIC_KL_BOUND = 7
 DEFAULT_LATTICE_BOUND = 9
-PXY_INTERPRETATIONS = ("product-shifted", "w-rank-prev")
-DEFAULT_PXY_INTERPRETATION = "w-rank-prev"
 
 METHODS = ("recursion", "chain", "corollary", "pxy", "oracle")
 
@@ -138,13 +136,13 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
 
         return kl_recursion.kl_coeff(n, i)
     if method == "chain":
-        if args.chain_max_n > DEFAULT_CHAIN_MAX_N:
+        if n > DEFAULT_CHAIN_MAX_N:
             _warn_once(args, f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow")
         from . import chain_formula
 
         return chain_formula.kl_coeff_via_chains(n, i)
     if method == "oracle":
-        if args.oracle_max_n > DEFAULT_GENERIC_KL_BOUND:
+        if n > DEFAULT_GENERIC_KL_BOUND:
             _warn_once(args, f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow")
         from . import lattice_oracle
 
@@ -153,7 +151,7 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
 
     if method == "corollary":
         return whitney2.kl_c1(n)
-    return whitney2.kl_coeff_via_pxy(n, i, args.interpretation)
+    return whitney2.kl_coeff_via_pxy(n, i)
 
 
 def _check_oracle_bound(args) -> None:
@@ -295,16 +293,6 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_pxy_readings(args) -> int:
-    from . import whitney2
-
-    for name, it in whitney2.INTERPRETATIONS.items():
-        marker = " (default)" if name == whitney2.DEFAULT_PXY_INTERPRETATION else ""
-        print(f"{name}{marker}")
-        print(f"    {it.summary}")
-    return 0
-
-
 def cmd_selftest(args) -> int:
     _require("recursion", args.max_n, 0, args)
     from . import checks
@@ -324,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"cap for the chain method (default {DEFAULT_CHAIN_MAX_N})")
         p.add_argument("--oracle-max-n", type=int, default=DEFAULT_GENERIC_KL_BOUND,
                        help=f"cap for the lattice oracle method (default {DEFAULT_GENERIC_KL_BOUND})")
-        p.add_argument("--interpretation",
-                       default=DEFAULT_PXY_INTERPRETATION,
-                       choices=PXY_INTERPRETATIONS,
-                       help="named reading for the pxy method")
 
     p = sub.add_parser("coeff", help="one coefficient C(n, i)")
     p.add_argument("n", type=int)
@@ -364,9 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("i", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_expand)
-
-    p = sub.add_parser("pxy-readings", help="list registered readings of the flag-Whitney sum")
-    p.set_defaults(fn=cmd_pxy_readings)
 
     p = sub.add_parser("selftest", help="run the built-in cross-checks")
     p.add_argument("--max-n", type=int, default=DEFAULT_SELFTEST_MAX_N)

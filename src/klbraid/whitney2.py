@@ -14,30 +14,18 @@ product; the lattice oracle counts the same chains by brute force.
 (S(n,2) - S(n,n-1), and the signed-Stirling-plus-two-block-multiplicities
 form) with the agreement asserted on every call.
 
-The alternating triple sum expressing a general C_{n,i} through flag
-Whitney numbers admits several index pairings, and the obvious candidates
-disagree.  Two readings are kept in a registry under a name, the pairing
-that survives the validation grid (``w-rank-prev``, the default) and the
-same pairing expanded directly into Stirling products
-(``product-shifted``); ``pxy_grid_report`` scores both against the
-recursion.  The shared skeleton: for 1 <= i < (n-1)/2, with N = n - 1,
+``kl_coeff_via_pxy`` is the alternating triple sum expressing C_{n,i}
+through flag Whitney numbers.  For 1 <= i < (n-1)/2, with N = n - 1,
 
     C_{n,i} = sum_{r=1}^{i} sum_{D subset of {1..r}} (-1)^|D|
               sum over 0 = a_0 < a_1 < ... < a_r = i < a_{r+1} = N - i
-              of a flag Whitney value built from a and the skip function
-              t_j(D) = min{k >= j : k not in D}.
+              of W_I, I = (N - (a[t_j(D)] + a[j-1]) : j = r, ..., 1)
 
-Readings differ in which a-entries pair up inside the flag index.  Three
-other readings were scored on the grid n <= 10, i <= 2 and dropped; each
-is recorded with its first miss, as (n, i): got vs want:
-
-    w-rank-prev-proper  as w-rank-prev, D over proper subsets only:
-                        (4, 1): 7 vs 1
-    w-rank-next         flag entries N - (a[t_j(D)] + a[j+1]), paired
-                        with the following index: (5, 1): 1 vs 5
-    product-literal     bare product over j = 0..r-1 of second-kind
-                        factors S(a[t_j] + a[j+1], a[t_{j+1}] + a[j+1]),
-                        no rank complement: (4, 1): 0 vs 1
+with the skip function t_j(D) = min{k >= j : k not in D}.  Each flag entry
+pairs a[t_j(D)] with the previous index a[j-1], and D runs over all subsets
+of {1..r}: pairing with the following index a[j+1] instead misses the
+recursion at (n, i) = (5, 1), and restricting D to proper subsets misses it
+at (4, 1).  ``pxy_grid_report`` scores the sum against the recursion.
 """
 
 from __future__ import annotations
@@ -144,61 +132,13 @@ def _read_w_rank_prev(n: int, i: int) -> int:
     return total
 
 
-def _read_product_shifted(n: int, i: int) -> int:
-    # the "prev" flag index expanded into its Stirling product directly;
-    # independent arithmetic for the same reading, useful as a cross-check
-    total = 0
-    for cell in _cells(n, i):
-        prod = 1
-        for j in range(1, cell.r + 1):
-            prod *= stirling_second(
-                1 + cell.a[cell.t(j + 1)] + cell.a[j],
-                1 + cell.a[cell.t(j)] + cell.a[j - 1],
-            )
-        total += (-1) ** len(cell.D) * prod
-    return total
-
-
-class Interpretation(NamedTuple):
-    name: str
-    func: object
-    summary: str
-
-
-INTERPRETATIONS: dict[str, Interpretation] = {
-    it.name: it
-    for it in (
-        Interpretation(
-            "w-rank-prev",
-            _read_w_rank_prev,
-            "flag entries N - (a[t_j(D)] + a[j-1]), j = r..1; D over all subsets",
-        ),
-        Interpretation(
-            "product-shifted",
-            _read_product_shifted,
-            "same pairing expanded into second-kind Stirling products directly",
-        ),
-    )
-}
-
-DEFAULT_PXY_INTERPRETATION = "w-rank-prev"
-
-
-def kl_coeff_via_pxy(n: int, i: int, interpretation: str = DEFAULT_PXY_INTERPRETATION) -> int:
-    """C_{n,i} through the alternating flag-Whitney sum, under a named reading.
-
-    Defined for 0 < i < (n-1)/2.  The default reading is the one promoted by
-    the validation grid; see ``pxy_grid_report``.
-    """
+def kl_coeff_via_pxy(n: int, i: int) -> int:
+    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2."""
     if n < 2:
         raise ValueError("need n >= 2")
     if i < 1 or 2 * i >= n - 1:
         raise ValueError(f"coefficient index {i} outside (0, (n-1)/2) for n={n}")
-    try:
-        reading = INTERPRETATIONS[interpretation]
-    except KeyError:
-        raise ValueError(f"unknown interpretation {interpretation!r}") from None
-    return reading.func(n, i)
+    return _read_w_rank_prev(n, i)
 
 
 class GridResult(NamedTuple):
@@ -212,23 +152,21 @@ class GridResult(NamedTuple):
 
 
 def pxy_grid_report(max_n: int = 10, max_i: int = 2) -> dict[str, GridResult]:
-    """Score every registered reading against the recursion on a grid."""
+    """Score the pxy sum against the recursion on a grid, keyed by its
+    reading's name."""
     from .kl_recursion import kl_coeff
 
+    name = "w-rank-prev"
     cells = [
         (n, i)
         for n in range(2, max_n + 1)
         for i in range(1, (n - 2) // 2 + 1)
         if i <= max_i
     ]
-    out = {}
-    for name, reading in INTERPRETATIONS.items():
-        mism = []
-        for n, i in cells:
-            got = reading.func(n, i)
-            want = kl_coeff(n, i)
-            if got != want:
-                mism.append((n, i, got, want))
-        out[name] = GridResult(name=name, checked=len(cells), mismatches=mism)
-    return out
-
+    mism = []
+    for n, i in cells:
+        got = _read_w_rank_prev(n, i)
+        want = kl_coeff(n, i)
+        if got != want:
+            mism.append((n, i, got, want))
+    return {name: GridResult(name=name, checked=len(cells), mismatches=mism)}

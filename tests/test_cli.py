@@ -81,10 +81,24 @@ def test_table_all_methods_agree():
 
 
 def test_slowness_warning_once_per_invocation():
-    plain = run_cli("table", "--max-n", "8", "--all-methods")
-    raised = run_cli("table", "--max-n", "8", "--all-methods", "--chain-max-n", "61")
+    # the oracle runs n = 8 and n = 9 above its default bound: one warning
+    plain = run_cli("table", "--max-n", "9", "--all-methods")
+    raised = run_cli("table", "--max-n", "9", "--all-methods", "--oracle-max-n", "9")
     assert raised.stdout == plain.stdout
-    assert raised.stderr.splitlines() == ["warning: chain sum above n=60 may be slow"]
+    assert raised.stderr.splitlines() == ["warning: lattice recursion above n=7 may be slow"]
+    chain = run_cli("coeff", "61", "1", "--method", "chain", "--chain-max-n", "61")
+    assert chain.stderr.splitlines() == ["warning: chain sum above n=60 may be slow"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-n", "8", "--all-methods", "--chain-max-n", "61"],
+    ["coeff", "5", "1", "--method", "chain", "--chain-max-n", "61"],
+    ["coeff", "2", "0", "--method", "oracle", "--oracle-max-n", "8"],
+    ["selftest", "--oracle-max-n", "8"],
+])
+def test_no_slowness_warning_at_or_below_the_default_n(argv):
+    # a raised bound alone warns of nothing: every n here is within the default
+    assert run_cli(*argv).stderr == ""
 
 
 def test_table_solves_each_lattice_once(monkeypatch, capsys):
@@ -199,7 +213,7 @@ def test_method_list_matches_single_method_answers(bounds, monkeypatch, capsys):
     monkeypatch.setattr(kl_recursion, "kl_coeff", lambda n, i: 0)
     monkeypatch.setattr(chain_formula, "kl_coeff_via_chains", lambda n, i: 0)
     monkeypatch.setattr(whitney2, "kl_c1", lambda n: 0)
-    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i, interpretation: 0)
+    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i: 0)
     monkeypatch.setattr(lattice_oracle, "braid_kl_generic", lambda n: IntPoly.zero())
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
@@ -236,12 +250,6 @@ def test_expand_text_and_json():
     assert sum(int(g["value"]) for g in blob) == 1
 
 
-def test_pxy_readings_listing():
-    out = run_cli("pxy-readings").stdout
-    names = [line for line in out.splitlines() if not line.startswith(" ")]
-    assert names == ["w-rank-prev (default)", "product-shifted"]
-
-
 def test_selftest_passes():
     proc = run_cli("selftest", "--max-n", "6", "--oracle-max-n", "5")
     assert "selftest: PASS" in proc.stdout
@@ -274,13 +282,13 @@ def test_selftest_detects_injected_fault():
 
 
 def test_selftest_output_is_frozen():
-    # sha256 of stdout as it was when the battery moved out of cli.py
+    # sha256 of stdout, whose advisory section scores the one pxy reading
     argv = ("selftest", "--max-n", "6", "--oracle-max-n", "5")
     for proc, code, digest in [
         (run_cli(*argv, check=False), 0,
-         "a2a026c0c57171ca97b07567ecefdcb70c5a0fd2c3598f2a413991cacadbed2e"),
+         "cfa18647ef06ac2704893e97d1d72a7f3881d33a389afd30fefc3a08f298bef0"),
         (run_cli_corrupted(*argv), 1,
-         "4cda81e662e27cb706d4b51effdcf28c2d7b92247e60932ab68d5007a89df995"),
+         "0ee89b23a0ba4ecb91608955ff8d88390b4ed008f9310dc72c1e91bdf2da4285"),
     ]:
         assert (proc.returncode, proc.stderr) == (code, "")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
@@ -344,44 +352,38 @@ def test_chains_and_expand_caps_themselves_answer():
     assert out.splitlines()[-1] == f"total = {kl_recursion.kl_coeff(n, (n - 2) // 2)}"
 
 
-def test_bad_interpretation_is_a_usage_error():
-    proc = run_cli("coeff", "9", "2", "--method", "pxy", "--interpretation", "bogus",
-                   check=False)
+@pytest.mark.parametrize("argv", [
+    ["coeff", "9", "2", "--method", "pxy", "--interpretation", "w-rank-prev"],
+    ["pxy-readings"],
+])
+def test_removed_reading_choice_is_a_usage_error(argv):
+    # pxy has one reading, so neither the option nor the listing exists
+    proc = run_cli(*argv, check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert ("klb coeff: error: argument --interpretation: invalid choice: 'bogus' "
-            "(choose from 'product-shifted', 'w-rank-prev')") in proc.stderr.splitlines()
-
-
-def test_interpretation_choices_are_the_registered_readings():
-    want = sorted(whitney2.INTERPRETATIONS)
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if a.dest == "command"]
-    for name in ("coeff", "table"):
-        (action,) = [a for a in commands.choices[name]._actions if a.dest == "interpretation"]
-        assert list(action.choices) == want
-        assert action.default == whitney2.DEFAULT_PXY_INTERPRETATION
 
 
 def test_parser_constants_match_their_sources():
     # the parser reads copies so that building it imports no method module
     assert cli.DEFAULT_GENERIC_KL_BOUND == lattice_oracle.DEFAULT_GENERIC_KL_BOUND
     assert cli.DEFAULT_LATTICE_BOUND == lattice_oracle.DEFAULT_LATTICE_BOUND
-    assert cli.PXY_INTERPRETATIONS == tuple(sorted(whitney2.INTERPRETATIONS))
-    assert cli.DEFAULT_PXY_INTERPRETATION == whitney2.DEFAULT_PXY_INTERPRETATION
 
 
 # sha256 of each --help text at 80 columns
 HELP_DIGESTS = {
-    "": "8252e06252b2cc4dc0d0b38b8bbe7133695c9ded3eb6bfffd360c34586474dfd",
-    "coeff": "090996041ae6bd39d38b7073333234e44b2c8b72c99ec6d279cdf847e65ebf9a",
+    "": "036d3569a0f2b3a340f4a3948f84b8101843d41dcf5c6e916bddbfb245a6ec87",
+    "coeff": "934d3909297a5d3bef8db2d58220595ad3abcc77e60ca4e109f5e575cf88366c",
     "poly": "95f749203b03f8bf3d671eb72c0c946972a7de33fb07d313123e87f8a9723900",
-    "table": "08cd22f9cd5cfc6b8786174abcd93d2da8b46924cf9a91d3a10e636df096e171",
+    "table": "5a8c626555dad69e6102bc0fed2a0cfedfa8412caf064df2c4c1eb2e4584f435",
     "chains": "d5721ed91c5407e676c0ecd2f6faef1df8867252368dc103440b672f3f8a1bb3",
     "expand": "7495092138bfb2bf956ba7b21f4b9eef80a84d79a941e2581ff8e2f67bca2174",
-    "pxy-readings": "34d81b894085896a55f5252e4c587c56dd32b224be340c06862b2772c364320e",
     "selftest": "773b503f375b78d2e90a8e928adc1aba8677b6c2bf81f21ff0f6e47dba7306d9",
 }
+
+
+def test_every_subcommand_has_a_help_digest():
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert sorted(HELP_DIGESTS) == [""] + sorted(commands.choices)
 
 
 @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
@@ -418,7 +420,6 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["table", "--max-n", "7", "--all-methods", "--oracle-max-n", "5"],
         ["chains", "6", "2"],
         ["expand", "6", "2", "--format", "json"],
-        ["pxy-readings"],
         ["selftest", "--max-n", "6", "--oracle-max-n", "5"],
     ):
         cli.main(argv)

@@ -88,6 +88,29 @@ def boolean_lattice(n: int) -> RankedLattice:
     )
 
 
+def uniform_corank_one_lattice(d: int) -> RankedLattice:
+    """Flats of U_{d,d+1}, the cycle matroid of the (d+1)-cycle: every subset
+    of {0..d} of size below d, plus the ground set, as bitmasks of the set."""
+    ground = (1 << (d + 1)) - 1
+    elements = [sum(1 << e for e in c) for k in range(d) for c in combinations(range(d + 1), k)]
+    elements.append(ground)
+    index = {x: i for i, x in enumerate(elements)}
+    ups = [0] * len(elements)
+    ups[-1] = 1 << (len(elements) - 1)
+    # elements are listed by size, so each covering flat's up mask is ready
+    for i in range(len(elements) - 2, -1, -1):
+        x = elements[i]
+        mask = 1 << i
+        if x.bit_count() == d - 1:
+            mask |= ups[-1]
+        else:
+            for e in range(d + 1):
+                if not x >> e & 1:
+                    mask |= ups[index[x | 1 << e]]
+        ups[i] = mask
+    return RankedLattice(elements, [min(x.bit_count(), d) for x in elements], ups)
+
+
 def merges_partition_lattice(n: int) -> RankedLattice:
     # reference builder: the up-set of a partition is every merge pattern of
     # its blocks, one set partition of the blocks at a time
@@ -464,3 +487,17 @@ def test_flag_whitney_chain_count_spot():
     # maximal chains of the partition lattice of a 4-set: 4!*3!/2^3 = 18
     L = build_partition_lattice(4)
     assert flag_whitney_bruteforce(L, (1, 2, 3)) == 18
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_generic_kl_uniform_corank_one(d):
+    # Elias-Proudfoot-Wakefield: the coefficient of t^i in the KL polynomial
+    # of U_{d,d+1} is C(d-i-1, i) C(d+1, i) / (i+1), an exact division
+    L = uniform_corank_one_lattice(d)
+    assert len(L) == 2 ** (d + 1) - d - 1
+    want = []
+    for i in range((d + 1) // 2):
+        num = math.comb(d - i - 1, i) * math.comb(d + 1, i)
+        assert num % (i + 1) == 0, (d, i)
+        want.append(num // (i + 1))
+    assert kl_polynomial_generic(L) == IntPoly(want)

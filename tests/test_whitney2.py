@@ -4,13 +4,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from klbraid import whitney2
+from klbraid.chain_formula import kl_coeff_via_chains
 from klbraid.kl_recursion import kl_coeff
 from klbraid.lattice_oracle import build_partition_lattice, flag_whitney_bruteforce
 from klbraid.stirling import stirling_second
 from klbraid.whitney2 import (
-    DEFAULT_PXY_INTERPRETATION,
-    INTERPRETATIONS,
-    Interpretation,
     flag_whitney_product,
     kl_c1,
     kl_coeff_via_pxy,
@@ -86,39 +85,30 @@ def test_pxy_rejects_out_of_range():
         kl_coeff_via_pxy(6, 0)
     with pytest.raises(ValueError):
         kl_coeff_via_pxy(6, 3)
-    with pytest.raises(ValueError):
-        kl_coeff_via_pxy(6, 1, "no-such-reading")
 
 
-def test_registry_contents():
-    assert DEFAULT_PXY_INTERPRETATION in INTERPRETATIONS
-    assert set(INTERPRETATIONS) == {"w-rank-prev", "product-shifted"}
-    for name, it in INTERPRETATIONS.items():
-        assert it.name == name
-        assert it.summary
-
-
-def test_grid_report_scores_every_reading(monkeypatch):
-    # a reading that sums to zero everywhere misses at the first grid cell
-    zero = Interpretation("zero", lambda n, i: 0, "always 0")
-    monkeypatch.setitem(INTERPRETATIONS, "zero", zero)
+def test_grid_report_diagnoses_a_wrong_sum(monkeypatch):
     report = pxy_grid_report(max_n=8, max_i=2)
-    assert set(report) == set(INTERPRETATIONS)
+    assert list(report) == ["w-rank-prev"]
     assert report["w-rank-prev"].matches
-    assert report["product-shifted"].matches
-    assert not report["zero"].matches
+    # a sum that is zero everywhere misses at the first grid cell, and the
     # mismatches carry (n, i, got, want) diagnostics
-    n, i, got, want = report["zero"].mismatches[0]
-    assert (n, i) == (4, 1)
-    assert got == 0 and want == 1
+    monkeypatch.setattr(whitney2, "_read_w_rank_prev", lambda n, i: 0)
+    (res,) = pxy_grid_report(max_n=8, max_i=2).values()
+    assert not res.matches
+    assert res.mismatches[0] == (4, 1, 0, 1)
 
 
-def test_equivalent_readings_agree_beyond_the_grid():
-    # the flag-sum reading and its direct product expansion are the same
-    # formula written two ways; check agreement past the scoring grid
+def test_pxy_matches_recursion_beyond_the_grid():
     for n in range(11, 14):
         for i in (1, 2, 3):
             if 2 * i < n - 1:
-                assert kl_coeff_via_pxy(n, i, "w-rank-prev") == kl_coeff_via_pxy(
-                    n, i, "product-shifted"
-                )
+                assert kl_coeff_via_pxy(n, i) == kl_coeff(n, i)
+
+
+@pytest.mark.parametrize("n", [100, 300, 500])
+def test_pxy_matches_chain_sum_past_the_recursion_cap(n):
+    # independent routes: signed first-kind times second-kind numbers in
+    # the chain sum, alternating flag-Whitney products in pxy
+    for i in range(1, 6):
+        assert kl_coeff_via_pxy(n, i) == kl_coeff_via_chains(n, i)
