@@ -3,8 +3,10 @@
 The coefficient C(n, i) is computed by four independent routes that the
 test suite and the ``klb selftest`` command play against each other:
 
-* a fast bottom-up recursion over integer partitions (`kl_coeff`,
-  `kl_braid_poly`), the default everywhere;
+* the defining recursion, the default everywhere: a bottom-up fill over
+  integer partitions (`kl_braid_poly`), and for single coefficients
+  (`kl_coeff`) one diagonal of the palindromic Z-polynomial, checked
+  against both halves of the defining identity;
 * a closed summation over an index set of partition chains, grouped by
   the exponential formula into sums of products of Stirling numbers of
   both kinds, with the triples enumerated only to list and audit it

@@ -7,6 +7,10 @@ check is ``check_*(args, lattice) -> (ok, detail)``; ``lattice(n)`` builds
 the partition lattice of {1..n} once per run for every check that reads it.
 ``CHECKS`` sets the output order.  Only the ``selftest`` command imports
 this module.
+
+The recursion's side of a check is the partition fill (``kl_braid_poly``),
+which reads no Stirling number, not ``kl_coeff``'s Z-polynomial diagonal,
+which reads the same Stirling cache as the chain sum and the closed forms.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ def check_multiplicity_census(args, lattice):
 def check_method_grid(args, lattice):
     top = min(args.max_n, args.chain_max_n)
     bad = [(n, i) for n in range(2, top + 1) for i in range(_coeff_index_count(n))
-           if chain_formula.kl_coeff_via_chains(n, i) != kl_recursion.kl_coeff(n, i)]
+           if chain_formula.kl_coeff_via_chains(n, i) != kl_recursion.kl_braid_poly(n).coeff(i)]
     if bad:
         return False, f"chain vs recursion mismatch at {bad[:5]}"
     return True, f"chain vs recursion, n <= {top}"
@@ -118,7 +122,7 @@ def check_generic_oracle(args, lattice):
 
 def check_degree_one(args, lattice):
     for n in range(4, 26):
-        if whitney2.kl_c1(n) != kl_recursion.kl_coeff(n, 1):
+        if whitney2.kl_c1(n) != kl_recursion.kl_braid_poly(n).coeff(1):
             return False, f"degree-one closed form off at n={n}"
     for n, want in {4: 1, 5: 5, 6: 16, 7: 42}.items():
         if whitney2.kl_c1(n) != want:
