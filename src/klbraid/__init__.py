@@ -3,10 +3,10 @@
 The coefficient C(n, i) is computed by four independent routes that the
 test suite and the ``klb selftest`` command play against each other:
 
-* the defining recursion, the default everywhere: a bottom-up fill over
-  integer partitions (`kl_braid_poly`), and for single coefficients
-  (`kl_coeff`) one diagonal of the palindromic Z-polynomial, checked
-  against both halves of the defining identity;
+* the defining recursion, the default everywhere: the diagonals of the
+  palindromic Z-polynomial, filled bottom-up in n and checked against
+  both halves of the defining identity, whole rows for `kl_braid_poly`
+  and only the entries a single coefficient needs for `kl_coeff`;
 * a closed summation over an index set of partition chains, grouped by
   the exponential formula into sums of products of Stirling numbers of
   both kinds, with the triples enumerated only to list and audit it

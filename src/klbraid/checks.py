@@ -8,9 +8,10 @@ the partition lattice of {1..n} once per run for every check that reads it.
 ``CHECKS`` sets the output order.  Only the ``selftest`` command imports
 this module.
 
-The recursion's side of a check is the partition fill (``kl_braid_poly``),
-which reads no Stirling number, not ``kl_coeff``'s Z-polynomial diagonal,
-which reads the same Stirling cache as the chain sum and the closed forms.
+The recursion reads the same Stirling cache as the chain sum and the
+closed forms, so a check against it is independent only through the
+partition close of rows n <= ``PARTITION_CHECK_MAX_N``, which reads no
+Stirling number, and through the lattice oracle.
 """
 
 from __future__ import annotations
@@ -131,10 +132,11 @@ def check_degree_one(args, lattice):
 
 
 def check_defining_identity(args, lattice):
-    for n in range(2, 21):
+    top = kl_recursion.PARTITION_CHECK_MAX_N
+    for n in range(2, top + 1):
         if not kl_recursion.verify_defining_identity(n).equal:
             return False, f"identity fails at n={n}"
-    return True, "n <= 20"
+    return True, f"n <= {top}"
 
 
 def check_index_set_i0(args, lattice):

@@ -29,14 +29,10 @@ from importlib import import_module
 from .errors import InternalConsistencyError, OracleBoundError
 
 DEFAULT_CHAIN_MAX_N = 60
-# `poly` and `selftest` fill P_1 .. P_n, walking every integer partition: a
-# cold fill to n = 40 took 41 s of CPU on a 2-core host, and each further n
-# costs about 1.3x more.  `coeff` and `table` read the Z-polynomial diagonal
-# instead (a cold `table --max-n 40` took 0.13 s), but check each value
-# against the defining identity, which reads first-kind Stirling row n and so
-# grows both triangles to row n; the cap can rise for them once a check reads
-# no such row.
-RECURSION_MAX_N = 40
+# The recursion checks each coefficient against the defining identity, which
+# grows both Stirling triangles to row n and costs about n^4 products: a cold
+# `poly 100` took 4.5 s of CPU and 15 MB on a 2-core host, `poly 120` 10 s.
+RECURSION_MAX_N = 100
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.
 COROLLARY_MAX_N = 500
@@ -97,9 +93,8 @@ def _refusal(method: str, n: int, i: int, args) -> str | None:
     None when the method answers: each method's domain and cap, stated once."""
     if method == "recursion":
         if n > RECURSION_MAX_N:
-            return (f"the recursion is capped at n <= {RECURSION_MAX_N}: its fill walks every "
-                    "integer partition of n, and its diagonal's check grows both Stirling "
-                    "triangles to row n")
+            return (f"the recursion is capped at n <= {RECURSION_MAX_N}: its identity check "
+                    "grows both Stirling triangles to row n and costs about n^4 products")
     elif method == "chain":
         if n < 2 or i < 0 or 2 * i >= n - 1:
             return f"chain method needs n >= 2 and 0 <= i < (n-1)/2; got n={n} i={i}"

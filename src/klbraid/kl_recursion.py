@@ -1,50 +1,44 @@
-"""The defining recursion for braid Kazhdan-Lusztig polynomials, fast path.
+"""The defining recursion for braid Kazhdan-Lusztig polynomials.
 
-For the matroid of the complete graph on n vertices the lattice of flats is
-the partition lattice, and the defining identity collapses to partition data:
+The flats of the braid matroid on n strands with l blocks number S(n, l),
+and each contracts to the braid matroid on l strands, so the Z-polynomial
+
+    Z_n(t) = sum over l of S(n, l) * t^(n-l) * P_l(t)
+
+is palindromic of degree n - 1 (Proudfoot-Xu-Young, "The Z-polynomial of a
+matroid", 2018).  The l = n term is P_n itself, and its coefficients of t^k
+and t^(n-1-k), for 0 < k < (n-1)/2, give C_{n,k} along one diagonal:
+
+    C_{n,k} = sum_{l=k+1}^{2k} S(n, l) * C_{l,l-1-k}
+              - sum_{d=1}^{k} S(n, n-d) * C_{n-d,k-d}.
+
+A ``KLTable`` memoizes C_{n,k} per (n, k).  ``kl_coeff(n, i)`` fills the
+entries with k <= i for every m <= n and builds no row; ``KLTable._solve``
+fills the rest of row m and returns P_m.  Palindromicity gives exactly as
+many equations as unknowns, so it checks nothing by itself.  Each new value
+must therefore also satisfy coefficients k and n-1-k of the defining
+identity, grouped by block count: by the exponential formula the flats with
+l blocks sum to B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, so
+
+    0 = C_{n,k} + sum_{l<n} sum_{j<=k} s(n, l+j) * S(l+j, l) * C_{l,k-j},
+    C_{n,k} = sum_{l<n} sum_xi s(n, a+l) * S(a+l, l) * C_{l,xi},  a = n-1-k-xi,
+
+and be nonnegative, as every coefficient of a matroid's Kazhdan-Lusztig
+polynomial is (Braden-Huh-Matherne-Proudfoot-Wang).  None of these checks
+is optional.  The first reads every C_{l,j} with l < n and j <= k, so the
+memo fills bottom-up in n: O(n*k) entries of O(n*k) Stirling products
+each, with no partition and no polynomial product.
+
+Those checks read the Stirling cache that the diagonal reads.  Rows
+n <= PARTITION_CHECK_MAX_N are also closed against the defining identity
+summed over integer partitions, which reads none:
 
     t^(n-1) * P_n(1/t) = sum over lam |- n of
         m(lam) * prod_k chi_{b_k}(t) * P_{l(lam)}(t)
 
 where chi_m is the characteristic polynomial of the rank-(m-1) partition
 lattice (the falling factorial over t) and m(lam) counts set partitions of
-shape lam.  The all-singletons partition contributes P_n itself, so moving
-it across determines the low coefficients of P_n from smaller cases:
-
-    C_{n,i} = -[t^i] Q   for i < (n-1)/2,   Q = the sum over lam != 1^n.
-
-The solve always re-verifies the full identity (both coefficient halves)
-and, since the coefficients of every matroid's Kazhdan-Lusztig polynomial
-are nonnegative (Braden-Huh-Matherne-Proudfoot-Wang), that each one is,
-before accepting a polynomial; neither check is optional.  ``poly``,
-``kl_braid_poly`` and ``verify_defining_identity`` read this fill.
-
-A single coefficient needs no row.  The flats of the braid matroid on n
-strands with l blocks number S(n, l), and each contracts to the braid
-matroid on l strands, so the Z-polynomial
-
-    Z_n(t) = sum over l of S(n, l) * t^(n-l) * P_l(t)
-
-is palindromic of degree n - 1 (Proudfoot-Xu-Young, "The Z-polynomial of a
-matroid", 2018).  Its coefficients of t^k and t^(n-1-k), for 0 < k < (n-1)/2,
-give C_{n,k} along one diagonal:
-
-    C_{n,k} = sum_{l=k+1}^{2k} S(n, l) * C_{l,l-1-k}
-              - sum_{d=1}^{k} S(n, n-d) * C_{n-d,k-d}.
-
-``kl_coeff`` reads row n when the table holds it and this diagonal
-otherwise, memoized per (n, k).  Palindromicity gives exactly as many
-equations as unknowns, so it checks nothing by itself.  Each new value must
-therefore also satisfy coefficients k and n-1-k of the defining identity,
-grouped by block count: by the exponential formula the flats with l blocks
-sum to B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, so
-
-    0 = C_{n,k} + sum_{l<n} sum_{j<=k} s(n, l+j) * S(l+j, l) * C_{l,k-j},
-    C_{n,k} = sum_{l<n} sum_xi s(n, a+l) * S(a+l, l) * C_{l,xi},  a = n-1-k-xi,
-
-and be nonnegative.  The first check reads every C_{l,j} with l < n and
-j <= k, so the memo fills bottom-up in n: O(n*k) entries of O(n*k) Stirling
-products each, with no partition, no polynomial product and no recursion.
+shape lam.  ``verify_defining_identity`` reports that sum at any n.
 """
 
 from __future__ import annotations
@@ -57,16 +51,23 @@ from .partitions import IntPartition, multiplicity, partitions_of
 from .polynomial import IntPoly
 from .stirling import partition_char_poly, stirling_first, stirling_second
 
+# Rows up to here are also closed against the partition-grouped identity,
+# which walks all p(n) partitions of n: row 20 has 627.
+PARTITION_CHECK_MAX_N = 20
+
 
 class KLTable:
     """Bottom-up table of braid Kazhdan-Lusztig polynomials P_1, P_2, ...
+    and of their coefficients C_{m,k}.
 
-    Shareable across threads: the fill happens under a lock and rows are
-    never mutated once published.
+    Shareable across threads: the fill happens under a lock, and neither
+    rows nor memo entries change once published.
     """
 
     def __init__(self):
         self._polys: list[IntPoly | None] = [None, IntPoly.one()]
+        # C_{m,k} for 0 < k < (m-1)/2
+        self._coeffs: dict[tuple[int, int], int] = {}
         self._chi: list[IntPoly] = [IntPoly.one()]  # slot 0 is a placeholder
         self._lock = threading.RLock()
 
@@ -88,19 +89,16 @@ class KLTable:
             return self._polys[n]
 
     def _solve(self, m: int) -> IntPoly:
-        # sum over every partition except all-singletons; those are the
-        # known quantities once P_1 .. P_{m-1} are in the table
-        q = IntPoly()
-        for lam, term in self._summands(m, include_trivial=False):
-            q = q + term
-        rk = m - 1
-        low = [-q.coeff(i) for i in range((rk + 1) // 2)]
-        p = IntPoly(low)
-        if p.reverse(rk) - p != q:
-            raise InternalConsistencyError(f"defining identity failed to close at n={m}")
-        for i, c in enumerate(p.coeffs):
-            if c < 0:
-                raise InternalConsistencyError(f"coefficient of t^{i} negative at n={m}: {c}")
+        # every row below m is in the table, so every entry it reads is too
+        self._fill_row(m, m)
+        p = IntPoly([self._coeff(m, k) for k in range(m // 2)])
+        if m <= PARTITION_CHECK_MAX_N:
+            # every partition except all-singletons, which contributes P_m
+            q = IntPoly()
+            for lam, term in self._summands(m, include_trivial=False):
+                q = q + term
+            if p.reverse(m - 1) - p != q:
+                raise InternalConsistencyError(f"defining identity failed to close at n={m}")
         return p
 
     def _summands(self, n: int, include_trivial: bool):
@@ -112,6 +110,45 @@ class KLTable:
                 if b > 1:
                     prod = prod * self._chi_poly(b)
             yield lam, multiplicity(lam) * prod * self._polys[lam.length]
+
+    def _coeff(self, m: int, k: int) -> int:
+        """C_{m,k} from the memo: 1 at k = 0, 0 at and beyond the degree
+        bound."""
+        if k == 0:
+            return 1
+        if 2 * k >= m - 1:
+            return 0
+        return self._coeffs[m, k]
+
+    def _fill_row(self, m: int, top: int) -> None:
+        """Memoize C_{m,k} for 0 < k <= top; needs every C_{l,j} with l < m
+        and j <= top."""
+        for k in range(1, min(top, (m - 2) // 2) + 1):
+            if (m, k) not in self._coeffs:
+                self._coeffs[m, k] = self._solve_diagonal(m, k)
+
+    def _solve_diagonal(self, m: int, k: int) -> int:
+        """C_{m,k} from the Z-polynomial, checked against both coefficients
+        of the grouped defining identity and for sign."""
+        coeff = self._coeff
+        c = (sum(stirling_second(m, l) * coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1))
+             - sum(stirling_second(m, m - d) * coeff(m - d, k - d) for d in range(1, k + 1)))
+        low = -sum(stirling_first(m, l + j) * stirling_second(l + j, l) * coeff(l, k - j)
+                   for l in range(1, m) for j in range(min(k, m - l) + 1))
+        # the chain form; C_{l,xi} = 0 for l > 2k, where xi >= l-1-k > (l-2)/2
+        high = 0
+        for l in range(1, 2 * k + 1):
+            for xi in range(max(0, l - 1 - k), max(1, l // 2)):
+                total = m - 1 - k - xi + l
+                high += stirling_first(m, total) * stirling_second(total, l) * coeff(l, xi)
+        if not c == low == high:
+            raise InternalConsistencyError(
+                f"Z-polynomial diagonal failed the defining identity at n={m}, i={k}: "
+                f"{c}, {low}, {high}"
+            )
+        if c < 0:
+            raise InternalConsistencyError(f"coefficient of t^{k} negative at n={m}: {c}")
+        return c
 
 
 _DEFAULT_TABLE = KLTable()
@@ -126,64 +163,20 @@ def kl_braid_poly(n: int, table: KLTable | None = None) -> IntPoly:
     return (table or _DEFAULT_TABLE).poly(n)
 
 
-# C_{m,k} for 0 < k < (m-1)/2, read off the Z-polynomial's diagonal.
-# The memo takes no lock: two threads racing on one key store equal values.
-_diagonal: dict[tuple[int, int], int] = {}
-
-
-def _memo_coeff(m: int, k: int) -> int:
-    """C_{m,k} from the diagonal memo: 1 at k = 0, 0 at and beyond the
-    degree bound."""
-    if k == 0:
-        return 1
-    if 2 * k >= m - 1:
-        return 0
-    return _diagonal[m, k]
-
-
-def _solve_diagonal(m: int, k: int) -> int:
-    """C_{m,k} from the Z-polynomial, checked against both coefficients of
-    the grouped defining identity; needs every C_{l,j}, l < m, j <= k."""
-    c = (sum(stirling_second(m, l) * _memo_coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1))
-         - sum(stirling_second(m, m - d) * _memo_coeff(m - d, k - d) for d in range(1, k + 1)))
-    low = -sum(stirling_first(m, l + j) * stirling_second(l + j, l) * _memo_coeff(l, k - j)
-               for l in range(1, m) for j in range(min(k, m - l) + 1))
-    # the chain form; C_{l,xi} = 0 for l > 2k, where xi >= l-1-k > (l-2)/2
-    high = 0
-    for l in range(1, 2 * k + 1):
-        for xi in range(max(0, l - 1 - k), max(1, l // 2)):
-            total = m - 1 - k - xi + l
-            high += stirling_first(m, total) * stirling_second(total, l) * _memo_coeff(l, xi)
-    if not c == low == high:
-        raise InternalConsistencyError(
-            f"Z-polynomial diagonal failed the defining identity at n={m}, i={k}: "
-            f"{c}, {low}, {high}"
-        )
-    if c < 0:
-        raise InternalConsistencyError(f"coefficient of t^{k} negative at n={m}: {c}")
-    return c
-
-
 def kl_coeff(n: int, i: int, table: KLTable | None = None) -> int:
     """C_{n,i} = [t^i] P_n(t); zero at and beyond the degree bound (n-1)/2.
 
-    Read from row n when the table already holds it, and otherwise from the
-    Z-polynomial's diagonal, which fills no row (see the module docstring).
-    """
+    Fills the memo's entries with k <= i, bottom-up in m, and no row."""
     if i < 0:
         raise ValueError("i must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
-    polys = (table or _DEFAULT_TABLE)._polys
-    if n < len(polys):
-        return polys[n].coeff(i)
-    if i and 2 * i < n - 1 and (n, i) not in _diagonal:
-        # bottom-up in m, so no call recurses
-        for m in range(4, n + 1):
-            for k in range(1, min(i, (m - 2) // 2) + 1):
-                if (m, k) not in _diagonal:
-                    _diagonal[m, k] = _solve_diagonal(m, k)
-    return _memo_coeff(n, i)
+    tab = table or _DEFAULT_TABLE
+    if i and 2 * i < n - 1 and (n, i) not in tab._coeffs:
+        with tab._lock:
+            for m in range(4, n + 1):
+                tab._fill_row(m, i)
+    return tab._coeff(n, i)
 
 
 class IdentityReport(NamedTuple):

@@ -134,14 +134,14 @@ def test_recursion_cap_fails_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(kl_recursion.KLTable, "_solve", refuse)
     assert cli.main(["poly", "100000"]) == 2
     assert cli.main(["table", "--max-n", "100000"]) == 2
-    assert cli.main(["table", "--max-n", "41", "--all-methods"]) == 2
-    assert cli.main(["coeff", "41", "1"]) == 2
-    assert cli.main(["coeff", "41", "1", "--all-methods"]) == 2
-    assert cli.main(["selftest", "--max-n", "41"]) == 2
+    assert cli.main(["table", "--max-n", "101", "--all-methods"]) == 2
+    assert cli.main(["coeff", "101", "1"]) == 2
+    assert cli.main(["coeff", "101", "1", "--all-methods"]) == 2
+    assert cli.main(["selftest", "--max-n", "101"]) == 2
     assert capsys.readouterr().out == ""
     # methods that do not run the recursion stay available past the cap
-    assert cli.main(["coeff", "60", "1", "--method", "chain"]) == 0
-    assert capsys.readouterr().out == f"{2 ** 59 - 1 - 60 * 59 // 2}\n"
+    assert cli.main(["coeff", "101", "1", "--method", "corollary"]) == 0
+    assert capsys.readouterr().out == f"{2 ** 100 - 1 - 101 * 100 // 2}\n"
 
 
 def test_corollary_cap_fails_before_any_work(monkeypatch, capsys):
@@ -198,11 +198,12 @@ def test_no_pxy_row_above_the_caps(capsys):
 # every cell with n <= 40 and i up to just past the middle, which holds the
 # oracle's and the lowered chain cap's edges, plus the edges above 40: the
 # corollary and pxy at n = 500 and 501, pxy at i = 10 and 11 there, and the
-# chain at its default cap of 60 and 61
+# chain at its default cap of 60 and 61, and the recursion at its cap of 100
+# and 101
 _RULE_CELLS = [
     *((n, i) for n in range(1, 41) for i in range(n // 2 + 2)),
     (500, 1), (501, 1), (500, 2), (501, 2), (500, 10), (500, 11),
-    (60, 1), (61, 1), (60, 29), (61, 29),
+    (60, 1), (61, 1), (60, 29), (61, 29), (100, 1), (101, 1),
 ]
 
 
@@ -281,6 +282,12 @@ def test_selftest_detects_injected_fault():
     assert "stirling_tables" in proc.stdout
 
 
+def test_poly_refuses_a_corrupted_stirling_entry():
+    proc = run_cli_corrupted("poly", "9")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("internal consistency failure: Z-polynomial diagonal failed")
+
+
 def test_selftest_output_is_frozen():
     # sha256 of stdout, whose advisory section scores the one pxy reading
     argv = ("selftest", "--max-n", "6", "--oracle-max-n", "5")
@@ -288,7 +295,7 @@ def test_selftest_output_is_frozen():
         (run_cli(*argv, check=False), 0,
          "cfa18647ef06ac2704893e97d1d72a7f3881d33a389afd30fefc3a08f298bef0"),
         (run_cli_corrupted(*argv), 1,
-         "0ee89b23a0ba4ecb91608955ff8d88390b4ed008f9310dc72c1e91bdf2da4285"),
+         "52b2b3529f14ba891f769b7e97ff08e24df05a543c4d1c6bfb995bcf3262433d"),
     ]:
         assert (proc.returncode, proc.stderr) == (code, "")
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

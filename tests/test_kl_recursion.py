@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import sys
 import threading
 
@@ -61,16 +62,54 @@ def test_coefficients_positive():
 
 
 def test_negative_coefficient_is_rejected(monkeypatch):
-    # Q = -1 + t - t^2 + t^3 closes the identity at n = 4 (rank 3) with
-    # P = 1 - t, so only the nonnegativity check can refuse it
+    # with every S(n, k) negated, C(4, 1) = -1 satisfies both identity
+    # checks, since each of their terms reads one S, so only the sign check
+    # can refuse it
     table = KLTable()
-    table.poly(3)
-    monkeypatch.setattr(
-        table, "_summands", lambda n, include_trivial: iter([(None, IntPoly([-1, 1, -1, 1]))])
-    )
+    real = kl_recursion.stirling_second
+    monkeypatch.setattr(kl_recursion, "stirling_second", lambda n, k: -real(n, k))
     with pytest.raises(InternalConsistencyError, match=r"t\^1 negative at n=4: -1"):
         table.poly(4)
     assert len(table._polys) == 4
+
+
+@pytest.mark.parametrize("m", [4, kl_recursion.PARTITION_CHECK_MAX_N])
+def test_broken_partition_identity_is_rejected(monkeypatch, m):
+    # drop the one-block summand, so only the partition close can refuse row m
+    table = KLTable()
+    table.poly(m - 1)
+    real = table._summands
+    monkeypatch.setattr(table, "_summands", lambda n, include_trivial: (
+        (lam, term) for lam, term in real(n, include_trivial) if lam.length > 1))
+    with pytest.raises(InternalConsistencyError, match=f"defining identity failed to close at n={m}"):
+        table.poly(m)
+    assert len(table._polys) == m
+
+
+def test_rows_past_the_partition_check_walk_no_partition(monkeypatch):
+    top = kl_recursion.PARTITION_CHECK_MAX_N
+    want = KLTable().poly(top + 10)
+    table = KLTable()
+    table.poly(top)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row past the partition check walked partitions")
+
+    monkeypatch.setattr(kl_recursion, "partitions_of", refuse)
+    assert table.poly(top + 10) == want
+
+
+# sha256 of repr(P_n.coeffs) + "\n" for n = 1..40, taken from the fill that
+# summed the defining identity over every integer partition of n
+ROWS_1_TO_40_SHA256 = "3e2918fcc328007b202fc3677c4d6269da648a6b07027adadd549e721530175c"
+
+
+def test_rows_match_the_partition_fill():
+    table = KLTable()
+    digest = hashlib.sha256()
+    for n in range(1, 41):
+        digest.update(f"{table.poly(n).coeffs!r}\n".encode())
+    assert digest.hexdigest() == ROWS_1_TO_40_SHA256
 
 
 def test_rejects_bad_arguments():
@@ -137,9 +176,7 @@ def test_thread_safety_of_shared_table():
 
 @pytest.fixture
 def cold(monkeypatch):
-    """An empty diagonal memo and an empty default table, so that kl_coeff
-    answers from the diagonal."""
-    monkeypatch.setattr(kl_recursion, "_diagonal", {})
+    """An empty default table, so that kl_coeff starts from an empty memo."""
     monkeypatch.setattr(kl_recursion, "_DEFAULT_TABLE", KLTable())
 
 
@@ -158,10 +195,25 @@ def test_cold_diagonal_equals_the_fill(cold):
     assert len(default_table()._polys) == 2
 
 
-def test_diagonal_reads_a_filled_row(cold):
-    default_table().poly(9)
-    kl_recursion._diagonal[9, 2] = -1  # never read: row 9 is in the table
-    assert kl_coeff(9, 2) == 6769
+def test_rows_and_coefficients_share_one_memo(monkeypatch):
+    solved = []
+    real = KLTable._solve_diagonal
+
+    def counting(self, m, k):
+        solved.append((m, k))
+        return real(self, m, k)
+
+    monkeypatch.setattr(KLTable, "_solve_diagonal", counting)
+    table = KLTable()
+    assert kl_coeff(20, 3, table) == kl_coeff_via_pxy(20, 3)
+    assert len(table._polys) == 2
+    assert set(solved) == {(m, k) for m in range(4, 21) for k in range(1, min(3, (m - 2) // 2) + 1)}
+    row = table.poly(20)
+    # the row solved only the entries kl_coeff had not, and kl_coeff then
+    # reads the row's entries without solving any
+    assert len(solved) == len(set(solved)) == sum((m - 2) // 2 for m in range(4, 21))
+    assert [kl_coeff(20, i, table) for i in range(10)] == list(row.coeffs)
+    assert len(solved) == len(set(solved))
 
 
 def test_diagonal_walks_no_partition(cold, monkeypatch):
@@ -195,6 +247,8 @@ def test_corrupted_stirling_entry_is_caught(cold, monkeypatch, entries):
         getattr(cache, f"_{kind}")[row][col] += 1
     with pytest.raises(InternalConsistencyError, match=r"defining identity at n=\d+, i=1"):
         kl_coeff(8, 1)
+    with pytest.raises(InternalConsistencyError, match=r"defining identity at n=\d+, i=1"):
+        kl_braid_poly(9, KLTable())
 
 
 def test_diagonal_deep_in_n_does_not_recurse(cold, monkeypatch):
