@@ -33,12 +33,15 @@ Those checks read the Stirling cache that the diagonal reads.  Rows
 n <= PARTITION_CHECK_MAX_N are also closed against the defining identity
 summed over integer partitions, which reads none:
 
-    t^(n-1) * P_n(1/t) = sum over lam |- n of
-        m(lam) * prod_k chi_{b_k}(t) * P_{l(lam)}(t)
+    t^(n-1) * P_n(1/t) = sum_{lam |- n} m(lam) * chi_lam(t) * P_{l(lam)}(t)
 
-where chi_m is the characteristic polynomial of the rank-(m-1) partition
-lattice (the falling factorial over t) and m(lam) counts set partitions of
-shape lam.  ``verify_defining_identity`` reports that sum at any n.
+where chi_lam = prod_k chi_{b_k}, chi_m is the characteristic polynomial of
+the rank-(m-1) partition lattice (the falling factorial over t) and m(lam)
+counts set partitions of shape lam.  ``KLTable._summands`` yields
+m(lam) * chi_lam, with chi_lam memoized per table by lam's blocks > 1, and
+the close adds those terms by block count l before multiplying by P_l, so a
+row costs one product per l rather than several per partition.
+``verify_defining_identity`` reports the sum term by term at any n.
 """
 
 from __future__ import annotations
@@ -68,13 +71,19 @@ class KLTable:
         self._polys: list[IntPoly | None] = [None, IntPoly.one()]
         # C_{m,k} for 0 < k < (m-1)/2
         self._coeffs: dict[tuple[int, int], int] = {}
-        self._chi: list[IntPoly] = [IntPoly.one()]  # slot 0 is a placeholder
+        # chi_lam keyed by lam's blocks > 1, in decreasing order
+        self._chi: dict[tuple[int, ...], IntPoly] = {(): IntPoly.one()}
         self._lock = threading.RLock()
 
-    def _chi_poly(self, b: int) -> IntPoly:
-        while len(self._chi) <= b:
-            self._chi.append(partition_char_poly(len(self._chi)))
-        return self._chi[b]
+    def _chi_product(self, key: tuple[int, ...]) -> IntPoly:
+        prod = self._chi.get(key)
+        if prod is None:
+            if len(key) == 1:
+                prod = partition_char_poly(key[0])
+            else:
+                prod = self._chi_product(key[:1]) * self._chi_product(key[1:])
+            self._chi[key] = prod
+        return prod
 
     def poly(self, n: int) -> IntPoly:
         if n < 1:
@@ -93,23 +102,27 @@ class KLTable:
         self._fill_row(m, m)
         p = IntPoly([self._coeff(m, k) for k in range(m // 2)])
         if m <= PARTITION_CHECK_MAX_N:
-            # every partition except all-singletons, which contributes P_m
-            q = IntPoly()
+            # every partition except all-singletons, which contributes P_m;
+            # chi_lam has degree m - l(lam) < m
+            by_length: dict[int, list[int]] = {}
             for lam, term in self._summands(m, include_trivial=False):
-                q = q + term
+                acc = by_length.setdefault(lam.length, [0] * m)
+                for k, c in enumerate(term.coeffs):
+                    acc[k] += c
+            q = IntPoly()
+            for l, acc in by_length.items():
+                q = q + IntPoly(acc) * self._polys[l]
             if p.reverse(m - 1) - p != q:
                 raise InternalConsistencyError(f"defining identity failed to close at n={m}")
         return p
 
     def _summands(self, n: int, include_trivial: bool):
+        """(lam, m(lam) * chi_lam) for each partition lam of n."""
         for lam in partitions_of(n):
             if lam.length == n and not include_trivial:
                 continue
-            prod = IntPoly.one()
-            for b in lam.blocks:
-                if b > 1:
-                    prod = prod * self._chi_poly(b)
-            yield lam, multiplicity(lam) * prod * self._polys[lam.length]
+            key = tuple(b for b in lam.blocks if b > 1)
+            yield lam, multiplicity(lam) * self._chi_product(key)
 
     def _coeff(self, m: int, k: int) -> int:
         """C_{m,k} from the memo: 1 at k = 0, 0 at and beyond the degree
@@ -215,6 +228,7 @@ def verify_defining_identity(n: int, table: KLTable | None = None) -> IdentityRe
     summands = []
     with tab._lock:
         for lam, term in tab._summands(n, include_trivial=True):
+            term = term * tab._polys[lam.length]
             rhs = rhs + term
             summands.append((lam, term))
     return IdentityReport(n=n, lhs=lhs, rhs=rhs, summands=summands)

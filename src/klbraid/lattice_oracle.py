@@ -55,9 +55,14 @@ class RankedLattice:
 
     ``elements`` are opaque labels (set partitions, for the builder below).
     Construction validates that the order is reflexive, that rank strictly
-    increases along it, that there is a unique bottom and top, and that the
-    bottom has rank 0.  Each check is one mask operation per element; the
-    down masks, which only the Moebius function reads, are built on first use.
+    increases along it, that there is a unique bottom and top, that the
+    bottom has rank 0, and that every rank up to the top's is held by some
+    element.  Each check is one mask operation per element; the down masks,
+    which only the Moebius function reads, are built on first use.
+
+    Gradedness is checked only that far: a rank function need not be the
+    height, and the generic solve keys Q by rank as well as by what lies
+    above, so that such a lattice still gets its own polynomial.
     """
 
     def __init__(self, elements: Sequence, ranks: Sequence[int], up_masks: Sequence[int]):
@@ -95,6 +100,10 @@ class RankedLattice:
         self.top = top_mask.bit_length() - 1
         if self.ranks[self.bottom] != 0:
             raise ValueError("bottom must have rank 0")
+        # every rank lies in 0..rank(top), so a graded lattice holds each one
+        missing = set(range(self.ranks[self.top])) - of_rank.keys()
+        if missing:
+            raise ValueError(f"not graded: no element has rank {min(missing)}")
         self._mobius_rows: dict[int, dict[int, int]] = {}
         self._kl_upper: dict[int, IntPoly] = {}
 

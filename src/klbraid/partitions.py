@@ -4,16 +4,17 @@ An ``IntPartition`` is a weakly decreasing tuple of positive block sizes.
 ``multiplicity`` counts the set partitions of an n-set whose block-size
 multiset is a given partition of n, via the factorial formula
 
-    m(lam) = n! / (prod_i b_i! * prod_j (c_j - c_{j+1})!)
+    m(lam) = n! / (prod_i b_i! * prod_b r_b!)
 
-where c is the conjugate partition (c_j - c_{j+1} is the number of blocks of
-size exactly j).  ``set_partitions_of`` enumerates actual set partitions so
-that formula can be checked against a census.
+where r_b is the number of blocks of size exactly b: the length of a run of
+equal blocks in the sorted tuple.  ``set_partitions_of`` enumerates actual
+set partitions so that formula can be checked against a census.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import groupby
 from math import factorial
 
 from .errors import InternalConsistencyError, OracleBoundError
@@ -100,15 +101,11 @@ def partitions_of(n: int) -> Iterator[IntPartition]:
 
 def multiplicity(lam: IntPartition) -> int:
     """Number of set partitions of a |lam|-set with block sizes lam."""
-    n = lam.size
     denom = 1
-    for b in lam.blocks:
-        denom *= factorial(b)
-    conj = lam.conjugate().blocks
-    for j, c in enumerate(conj):
-        nxt = conj[j + 1] if j + 1 < len(conj) else 0
-        denom *= factorial(c - nxt)
-    q, r = divmod(factorial(n), denom)
+    for b, run in groupby(lam.blocks):
+        count = sum(1 for _ in run)
+        denom *= factorial(b) ** count * factorial(count)
+    q, r = divmod(factorial(lam.size), denom)
     if r:
         raise InternalConsistencyError(f"inexact multiplicity division for {lam}")
     return q

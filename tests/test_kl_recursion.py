@@ -15,6 +15,7 @@ from klbraid.kl_recursion import (
     kl_coeff,
     verify_defining_identity,
 )
+from klbraid.partitions import partitions_of
 from klbraid.polynomial import IntPoly
 from klbraid.whitney2 import kl_coeff_via_pxy
 
@@ -84,6 +85,24 @@ def test_broken_partition_identity_is_rejected(monkeypatch, m):
     with pytest.raises(InternalConsistencyError, match=f"defining identity failed to close at n={m}"):
         table.poly(m)
     assert len(table._polys) == m
+
+
+def test_every_block_count_is_checked(monkeypatch):
+    # one more set partition of a single shape changes only the terms of that
+    # shape's block count, so the close must refuse row 12 for every length
+    table = KLTable()
+    table.poly(11)
+    real = kl_recursion.multiplicity
+    for l in range(1, 12):
+        target = next(lam for lam in partitions_of(12) if lam.length == l)
+        with monkeypatch.context() as patch:
+            patch.setattr(kl_recursion, "multiplicity",
+                          lambda lam, target=target: real(lam) + (lam == target))
+            with pytest.raises(InternalConsistencyError,
+                               match="defining identity failed to close at n=12"):
+                table.poly(12)
+        assert len(table._polys) == 12
+    assert table.poly(12) == KLTable().poly(12)
 
 
 def test_rows_past_the_partition_check_walk_no_partition(monkeypatch):

@@ -456,6 +456,7 @@ def test_from_relation_validation():
     ([0, 1, 2], [0, 1, 1], [0b111, 0b10, 0b100], "unique bottom and top"),
     ([0, 1, 2], [0, 0, 1], [0b101, 0b110, 0b100], "unique bottom and top"),
     ([0, 1], [1, 2], [0b11, 0b10], "bottom must have rank 0"),
+    ([0, 1], [0, 2], [0b11, 0b10], "not graded: no element has rank 1"),
 ])
 def test_lattice_validation_messages(elements, ranks, ups, message):
     with pytest.raises(ValueError, match=message):
@@ -501,3 +502,14 @@ def test_generic_kl_uniform_corank_one(d):
         assert num % (i + 1) == 0, (d, i)
         want.append(num // (i + 1))
     assert kl_polynomial_generic(L) == IntPoly(want)
+
+
+def test_non_graded_rank_function_is_rejected():
+    # a draft of U_{3,4} that gave the ground set rank 4 over its rank-2
+    # coatoms: rank still increases along the order, and the generic solve
+    # used to return 1 - 4t for it
+    L = uniform_corank_one_lattice(3)
+    ranks = list(L.ranks)
+    ranks[L.top] = 4
+    with pytest.raises(ValueError, match="not graded: no element has rank 3"):
+        RankedLattice(L.elements, ranks, L.up)

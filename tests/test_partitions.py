@@ -97,7 +97,7 @@ def test_multiplicity_small_values():
 
 
 def test_multiplicity_sums_to_bell():
-    for n in range(1, 11):
+    for n in range(1, 31):
         assert sum(multiplicity(lam) for lam in partitions_of(n)) == bell_number(n)
 
 
