@@ -26,10 +26,9 @@ and 0 <= alpha_1 <= n - l.  The sums are memoized per (n, i); each costs
 O(n^2) Stirling products and builds no partition and no triple.
 
 Triples and per-partition links are kept to list and audit the sum
-(``enumerate_K``, ``term_value``).  A partition's link values for every
-total come from one row: the product over blocks b of sum_{d=1..b}
-s(b, d) x^d, times m(lam), whose x^total coefficient is the composition
-sum above.
+(``enumerate_K``, ``term_value``).  A link is computed from its
+compositions: each bounded composition of the total with its Stirling
+product, so the value and the rendered sum come from the same list.
 
 ``symbolic_expansion`` renders the same sum grouped by the top partition
 lam_1, in the shape of a worked table: ``m(3+1)s(3,3)s(1,1)`` style tokens,
@@ -47,98 +46,65 @@ from .stirling import stirling_first, stirling_second
 
 
 class FactorBreakdown(NamedTuple):
-    """Audit record for one link of a chain term."""
+    """One link of a chain term: each composition with its Stirling product."""
 
     lam: IntPartition
     m_value: int
     total: int
-    compositions: tuple[tuple[tuple[int, ...], int], ...] | None
+    compositions: tuple[tuple[tuple[int, ...], int], ...]
     inner_sum: int
 
 
 class TermBreakdown(NamedTuple):
-    """A chain term's value, with optional per-link audit detail."""
+    """A chain term's value, with the breakdown of each of its links."""
 
     triple: KLChainTriple
-    factors: tuple[FactorBreakdown, ...] | None
+    factors: tuple[FactorBreakdown, ...]
     value: int
 
 
-# One row per partition, keyed by blocks: entry `total` is the link value.
-# The memos take no lock: two threads racing on one key store equal values.
-_link_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+# The memo takes no lock: two threads racing on one key store equal values.
 _grouped_sums: dict[tuple[int, int], int] = {}
 
 
-def _link_compositions(lam: IntPartition, total: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each bounded composition of ``total`` with its signed Stirling product."""
-    out = []
-    for comp in bounded_compositions(lam, total):
-        prod = 1
-        for b, d in zip(lam.blocks, comp):
-            prod *= stirling_first(b, d)
-        out.append((comp, prod))
-    return out
-
-
-def _link_row(lam: IntPartition) -> tuple[int, ...]:
-    """m(lam) times the product over blocks b of sum_{d=1..b} s(b, d) x^d."""
-    row = _link_rows.get(lam.blocks)
-    if row is None:
-        acc = [1]
-        for b in lam.blocks:
-            factor = [stirling_first(b, d) for d in range(1, b + 1)]
-            nxt = [0] * (len(acc) + b)
-            for j, a in enumerate(acc):
-                if a:
-                    for d, s in enumerate(factor, start=j + 1):
-                        nxt[d] += a * s
-            acc = nxt
-        m = multiplicity(lam)
-        row = _link_rows[lam.blocks] = tuple(m * c for c in acc)
-    return row
-
-
-def _link_value(lam: IntPartition, total: int) -> int:
-    """m(lam) times the Stirling sum over bounded compositions of ``total``.
+def _link(lam: IntPartition, total: int) -> FactorBreakdown:
+    """The link of lam at ``total``: m(lam), and each bounded composition of
+    ``total`` with its signed Stirling product.
 
     A total outside [length(lam), size(lam)] has no composition: that is a
-    degenerate (invalid) link and raises on every call.  The check comes
-    before the row is read, since a negative total would index from the end.
+    degenerate (invalid) link and raises on every call.
     """
     if not lam.length <= total <= lam.size:
         raise InternalConsistencyError(
             f"degenerate link {lam} with total {total}: no compositions"
         )
-    return _link_row(lam)[total]
+    comps = []
+    for comp in bounded_compositions(lam, total):
+        prod = 1
+        for b, d in zip(lam.blocks, comp):
+            prod *= stirling_first(b, d)
+        comps.append((comp, prod))
+    return FactorBreakdown(
+        lam=lam,
+        m_value=multiplicity(lam),
+        total=total,
+        compositions=tuple(comps),
+        inner_sum=sum(prod for _, prod in comps),
+    )
 
 
-def term_value(triple: KLChainTriple, audit: bool = False) -> TermBreakdown:
+def term_value(triple: KLChainTriple) -> TermBreakdown:
     """Evaluate one chain term exactly, as the product of its link values.
 
-    With ``audit=True`` every composition and its signed Stirling product is
-    retained as well; the value is the same product of link values.  A link
-    with no composition is a degenerate (invalid) triple and raises.
+    A link with no composition is a degenerate (invalid) triple and raises.
     """
-    value = 1
-    factors = [] if audit else None
-    for lam, alpha in zip(triple.Lambda, triple.A):
-        total = alpha + lam.length
-        value *= _link_value(lam, total)
-        if audit:
-            comps = _link_compositions(lam, total)
-            factors.append(
-                FactorBreakdown(
-                    lam=lam,
-                    m_value=multiplicity(lam),
-                    total=total,
-                    compositions=tuple(comps),
-                    inner_sum=sum(prod for _, prod in comps),
-                )
-            )
-    return TermBreakdown(
-        triple=triple, factors=tuple(factors) if audit else None, value=value
+    factors = tuple(
+        _link(lam, alpha + lam.length) for lam, alpha in zip(triple.Lambda, triple.A)
     )
+    value = 1
+    for fb in factors:
+        value *= fb.m_value * fb.inner_sum
+    return TermBreakdown(triple=triple, factors=factors, value=value)
 
 
 def _grouped_sum(n: int, i: int) -> int:
@@ -200,9 +166,7 @@ def _factor_text(fb: FactorBreakdown) -> str:
 
 
 def term_text(breakdown: TermBreakdown) -> str:
-    """Token rendering of one audited chain term, links concatenated."""
-    if breakdown.factors is None:
-        raise ValueError("term_text needs an audited breakdown")
+    """Token rendering of one chain term, links concatenated."""
     return "".join(_factor_text(fb) for fb in breakdown.factors)
 
 
@@ -263,7 +227,7 @@ def symbolic_expansion(n: int, i: int) -> SymbolicExpansion:
     # others; the dict keeps each group at its first appearance
     groups: dict[IntPartition, ExpansionGroup] = {}
     for triple in enumerate_K(n, i):
-        tb = term_value(triple, audit=True)
+        tb = term_value(triple)
         lam1 = triple.Lambda[0]
         g = groups.get(lam1)
         if g is None:

@@ -43,10 +43,10 @@ COROLLARY_MAX_N = 500
 PXY_MAX_I = 10
 PXY_MAX_N = 500
 # Listing the chain index set holds every triple, and its size grows about 4x
-# with each n at the largest i.  Fresh processes on a 2-core host:
-# `chains 15 6 --format json` took 0.41 s of CPU and 86 MB, `chains 16 7
-# --format json` 1.8 s and 328 MB; `expand 14 6 --format json` took 1.2 s and
-# 96 MB, `expand 16 7` 7.4 s and 247 MB.
+# with each n at the largest i.  Fresh processes on a 2-core host (Python
+# 3.11): `chains 15 6 --format json` took 1.1 s of CPU and 86 MB, `chains 16 7
+# --format json` 5.1 s and 328 MB; `expand 14 6 --format json` took 2.7 s and
+# 96 MB, `expand 16 7` 15 s and 246 MB.
 CHAINS_MAX_N = 15
 EXPAND_MAX_N = 14
 DEFAULT_SELFTEST_MAX_N = 8

@@ -95,14 +95,14 @@ def default_cache() -> StirlingCache:
     return _DEFAULT_CACHE
 
 
-def stirling_first(n: int, k: int, cache: StirlingCache | None = None) -> int:
+def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
-    return (cache or _DEFAULT_CACHE).first(n, k)
+    return _DEFAULT_CACHE.first(n, k)
 
 
-def stirling_second(n: int, k: int, cache: StirlingCache | None = None) -> int:
+def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
-    return (cache or _DEFAULT_CACHE).second(n, k)
+    return _DEFAULT_CACHE.second(n, k)
 
 
 def stirling_first_nonrecursive(n: int, m: int) -> int:

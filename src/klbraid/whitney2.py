@@ -30,7 +30,7 @@ at (4, 1).  ``pxy_grid_report`` scores the sum against the recursion.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import combinations
 from typing import NamedTuple
 
@@ -83,32 +83,6 @@ def kl_c1(n: int) -> int:
 
 # --- the alternating triple sum ----------------------------------------------
 
-class PXYIndexData(NamedTuple):
-    """One cell of the triple sum: chain length r, skip set D, pinned a-vector."""
-
-    r: int
-    D: frozenset[int]
-    a: tuple[int, ...]
-
-    def t(self, j: int) -> int:
-        k = j
-        while k in self.D:
-            k += 1
-        return k
-
-
-def _cells(n: int, i: int) -> Iterator[PXYIndexData]:
-    N = n - 1
-    for r in range(1, i + 1):
-        subsets = []
-        for size in range(0, r + 1):
-            subsets.extend(combinations(range(1, r + 1), size))
-        for D in subsets:
-            for middle in combinations(range(1, i), r - 1):
-                a = (0,) + middle + (i, N - i)
-                yield PXYIndexData(r=r, D=frozenset(D), a=a)
-
-
 def _w_tolerant(n: int, ranks: Sequence[int]) -> int:
     # out-of-range or non-monotone index vectors count no flags at all
     prev = 0
@@ -124,11 +98,21 @@ def _read_w_rank_prev(n: int, i: int) -> int:
     # a_{j-1}; listed from j = r down to 1 the entries increase
     N = n - 1
     total = 0
-    for cell in _cells(n, i):
-        idx = tuple(
-            N - (cell.a[cell.t(j)] + cell.a[j - 1]) for j in range(cell.r, 0, -1)
-        )
-        total += (-1) ** len(cell.D) * _w_tolerant(n, idx)
+    for r in range(1, i + 1):
+        for size in range(r + 1):
+            sign = (-1) ** size
+            for D in combinations(range(1, r + 1), size):
+                # t[j] = t_j(D), the first k >= j outside D (at most r + 1)
+                t = [0]
+                for j in range(1, r + 1):
+                    k = j
+                    while k in D:
+                        k += 1
+                    t.append(k)
+                for middle in combinations(range(1, i), r - 1):
+                    a = (0,) + middle + (i, N - i)
+                    idx = tuple(N - (a[t[j]] + a[j - 1]) for j in range(r, 0, -1))
+                    total += sign * _w_tolerant(n, idx)
     return total
 
 

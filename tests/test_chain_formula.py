@@ -7,8 +7,7 @@ import pytest
 
 from klbraid import chain_formula
 from klbraid.chain_formula import (
-    _link_row,
-    _link_value,
+    _link,
     group_values,
     kl_coeff_via_chains,
     symbolic_expansion,
@@ -18,11 +17,31 @@ from klbraid.chain_formula import (
 from klbraid.chains import KLChainTriple, chain_heads, enumerate_K
 from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import kl_coeff
-from klbraid.partitions import IntPartition, partitions_of
+from klbraid.partitions import IntPartition, multiplicity, partitions_of
 from klbraid.stirling import stirling_first, stirling_second
 
 
+_reference_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 _reference_sums: dict[tuple[int, int], int] = {}
+
+
+def _reference_link_row(lam):
+    """Reference: m(lam) times the product over blocks b of
+    sum_{d=1..b} s(b, d) x^d, whose x^total coefficient is the link value."""
+    row = _reference_rows.get(lam.blocks)
+    if row is None:
+        acc = [1]
+        for b in lam.blocks:
+            factor = [stirling_first(b, d) for d in range(1, b + 1)]
+            nxt = [0] * (len(acc) + b)
+            for j, a in enumerate(acc):
+                if a:
+                    for d, s in enumerate(factor, start=j + 1):
+                        nxt[d] += a * s
+            acc = nxt
+        m = multiplicity(lam)
+        row = _reference_rows[lam.blocks] = tuple(m * c for c in acc)
+    return row
 
 
 def _per_partition_chain_sum(n, i):
@@ -32,7 +51,7 @@ def _per_partition_chain_sum(n, i):
     if key not in _reference_sums:
         value = 0
         for lam, alpha, xi in chain_heads(n, i):
-            link = _link_value(lam, alpha + lam.length)
+            link = _reference_link_row(lam)[alpha + lam.length]
             value += link * _per_partition_chain_sum(lam.length, xi) if xi else link
         _reference_sums[key] = value
     return _reference_sums[key]
@@ -83,8 +102,9 @@ def test_grouped_links_are_stirling_products(n):
     rows: dict[int, list[int]] = {}
     for lam in partitions_of(n):
         acc = rows.setdefault(lam.length, [0] * (n + 1))
-        for total, v in enumerate(_link_row(lam)):
-            acc[total] += v
+        for total in range(lam.length, lam.size + 1):
+            fb = _link(lam, total)
+            acc[total] += fb.m_value * fb.inner_sum
     for l in range(1, n + 1):
         for total in range(l, n + 1):
             assert rows[l][total] == stirling_first(n, total) * stirling_second(total, l)
@@ -123,7 +143,7 @@ def test_chain_sum_walks_no_partition(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("klbraid"):
-            for attr in ("partitions_of", "multiplicity", "_link_row"):
+            for attr in ("partitions_of", "multiplicity", "_link"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     monkeypatch.setattr(chain_formula, "_grouped_sums", {})
@@ -135,15 +155,17 @@ def test_chain_sum_walks_no_partition(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_link_row_equals_composition_sum(n):
-    # the row's convolution against the audit's explicit composition list
+    # the reference row's convolution against each link's composition list
     for lam in partitions_of(n):
-        row = _link_row(lam)
+        row = _reference_link_row(lam)
         assert len(row) == lam.size + 1
         assert not any(row[: lam.length])
         for total in range(lam.length, lam.size + 1):
-            single = KLChainTriple((lam,), (total - lam.length,), (0,))
-            (fb,) = term_value(single, audit=True).factors
+            fb = _link(lam, total)
+            assert (fb.lam, fb.total) == (lam, total)
             assert row[total] == fb.m_value * fb.inner_sum
+            single = KLChainTriple((lam,), (total - lam.length,), (0,))
+            assert term_value(single).factors == (fb,)
 
 
 @pytest.mark.parametrize("blocks, total", [
@@ -151,15 +173,14 @@ def test_link_row_equals_composition_sum(n):
     ((1,), 0), ((1,), 2), ((2, 2, 1), 2), ((2, 2, 1), 6), ((2, 2, 1), -6),
 ])
 def test_infeasible_totals_raise_degenerate_link(blocks, total):
-    # a negative total must not read the row from its end
+    # a total outside [length, size] has no composition, negative ones included
     lam = IntPartition(blocks)
     bad = KLChainTriple((lam,), (total - lam.length,), (0,))
     for _ in range(2):
         with pytest.raises(InternalConsistencyError, match="degenerate link"):
-            _link_value(lam, total)
-        for audit in (False, True):
-            with pytest.raises(InternalConsistencyError, match="degenerate link"):
-                term_value(bad, audit=audit)
+            _link(lam, total)
+        with pytest.raises(InternalConsistencyError, match="degenerate link"):
+            term_value(bad)
 
 
 def test_rejects_out_of_range():
@@ -176,14 +197,14 @@ def test_term_values_sum_to_coefficient():
 
 def test_term_breakdown_audit():
     t = next(iter(enumerate_K(6, 2)))
-    bd = term_value(t, audit=True)
+    bd = term_value(t)
     assert bd.triple == t
     assert len(bd.factors) == t.q
     prod = 1
     for j, fb in enumerate(bd.factors):
         # the composition target is alpha_j plus the number of blocks
         assert fb.total == t.A[j] + t.Lambda[j].length
-        assert fb.compositions  # audit keeps the composition detail
+        assert fb.compositions  # every link keeps its composition detail
         assert fb.inner_sum == sum(v for _, v in fb.compositions)
         prod *= fb.m_value * fb.inner_sum
     assert bd.value == prod
@@ -191,12 +212,15 @@ def test_term_breakdown_audit():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_audit_and_memoized_values_agree(n):
-    # the audit lists each link's compositions afresh; its factors must
-    # multiply to the memoized link values the plain path returns
+    # each link's composition list must give the reference row's entry, and
+    # the factors must multiply to the term's value
     for i in range((n - 2) // 2 + 1):
         for t in enumerate_K(n, i):
-            bd = term_value(t, audit=True)
-            assert bd.value == term_value(t).value
+            bd = term_value(t)
+            ref = 1
+            for lam, alpha in zip(t.Lambda, t.A):
+                ref *= _reference_link_row(lam)[alpha + lam.length]
+            assert bd.value == ref
             prod = 1
             for fb in bd.factors:
                 prod *= fb.m_value * fb.inner_sum
@@ -207,9 +231,9 @@ def test_degenerate_link_raises_every_time():
     # total 6 exceeds the size of the partition 2, so no composition exists;
     # the failure must not be memoized as a value
     bad = KLChainTriple((IntPartition([2]),), (5,), (0,))
-    for audit in (False, False, True):
+    for _ in range(3):
         with pytest.raises(InternalConsistencyError, match="degenerate link"):
-            term_value(bad, audit=audit)
+            term_value(bad)
 
 
 def test_group_values_six_two():

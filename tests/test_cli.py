@@ -251,6 +251,23 @@ def test_expand_text_and_json():
     assert sum(int(g["value"]) for g in blob) == 1
 
 
+# sha256 of each listing's whole stdout, every rendered term included
+LISTING_DIGESTS = {
+    ("expand", "12", "5"):
+        "b8d59769c2621b72c7b562cf09dcc33b3a2831434359937c3193519874496125",
+    ("expand", "12", "5", "--format", "json"):
+        "5a5f0e99111ac75e641b1864fb81d48bdf0f7055c063ef0df15006c85887a487",
+    ("chains", "12", "5"):
+        "cb6a8120938c99f81dd07944a74d41068f2420e1314b952cfc03ff164dc46b4c",
+}
+
+
+@pytest.mark.parametrize("argv", list(LISTING_DIGESTS))
+def test_listing_output_is_frozen(argv):
+    out = run_cli(*argv).stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[argv]
+
+
 def test_selftest_passes():
     proc = run_cli("selftest", "--max-n", "6", "--oracle-max-n", "5")
     assert "selftest: PASS" in proc.stdout

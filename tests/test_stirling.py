@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from klbraid import stirling
 from klbraid.polynomial import IntPoly
 from klbraid.stirling import (
     StirlingCache,
@@ -127,12 +128,19 @@ def test_second_kind_inverts_first_kind():
             assert tot == (1 if n == m else 0)
 
 
-def test_private_cache_instance_is_independent():
+def test_private_cache_instance_is_independent(monkeypatch):
     cache = StirlingCache()
     cache.first(8, 3)
+    cache.second(8, 3)
     cache._first[7][3] += 1
+    cache._second[7][3] += 1
     assert cache.first(7, 3) != stirling_first(7, 3)
-    assert stirling_first(7, 3, cache) == cache.first(7, 3)
+    # the entry functions read the module's default cache at call time
+    with monkeypatch.context() as m:
+        m.setattr(stirling, "_DEFAULT_CACHE", cache)
+        assert stirling_first(7, 3) == cache.first(7, 3)
+        assert stirling_second(7, 3) == cache.second(7, 3)
+    assert stirling_second(7, 3) == 301
     # the shared default cache is untouched
     assert stirling_first(7, 3) == falling_factorial_poly(7).coeff(3)
 
