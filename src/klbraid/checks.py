@@ -1,17 +1,21 @@
 """The self-test battery behind ``klb selftest``.
 
 Each check plays one route to C(n, i), or one ingredient of a route,
-against an independent one: the partition recursion, the Stirling chain
-sum, the second-kind closed forms and the explicit partition lattice.  A
+against another: the Z-polynomial recursion, the Stirling chain sum, the
+second-kind closed forms and the explicit partition lattice.  A
 check is ``check_*(args, lattice) -> (ok, detail)``; ``lattice(n)`` builds
 the partition lattice of {1..n} once per run for every check that reads it.
 ``CHECKS`` sets the output order.  Only the ``selftest`` command imports
 this module.
 
-The recursion reads the same Stirling cache as the chain sum and the
-closed forms, so a check against it is independent only through the
-partition close of rows n <= ``PARTITION_CHECK_MAX_N``, which reads no
-Stirling number, and through the lattice oracle.
+Not every pair is independent.  The recursion checks each coefficient
+against the chain sum term by term, over the same l, xi and alpha as
+``chain_formula``, so chain = recursion compares two implementations of one
+formula over one Stirling cache.  The recursion is checked independently
+by the partition close of rows n <= ``PARTITION_CHECK_MAX_N``,
+which reads no Stirling number; by the lattice oracle; by the pxy sum,
+which combines second-kind numbers through flag Whitney counts rather than
+the Z-polynomial; and at i = 1 by the degree-one closed forms.
 """
 
 from __future__ import annotations

@@ -31,7 +31,8 @@ from .errors import InternalConsistencyError, OracleBoundError
 DEFAULT_CHAIN_MAX_N = 60
 # The recursion checks each coefficient against the defining identity, which
 # grows both Stirling triangles to row n and costs about n^4 products: a cold
-# `poly 100` took 4.5 s of CPU and 15 MB on a 2-core host, `poly 120` 10 s.
+# `poly 100` took 2.3 s of CPU and 17 MB in a fresh process on a 2-core host,
+# `kl_braid_poly(120)` 5.1 s.
 RECURSION_MAX_N = 100
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.
@@ -45,8 +46,8 @@ PXY_MAX_N = 500
 # Listing the chain index set holds every triple, and its size grows about 4x
 # with each n at the largest i.  Fresh processes on a 2-core host (Python
 # 3.11): `chains 15 6 --format json` took 1.1 s of CPU and 86 MB, `chains 16 7
-# --format json` 5.1 s and 328 MB; `expand 14 6 --format json` took 2.7 s and
-# 96 MB, `expand 16 7` 15 s and 246 MB.
+# --format json` 5.1 s and 328 MB; `expand 14 6 --format json` took 1.2 s and
+# 81 MB, `expand 16 7` 2.7 s and 142 MB.
 CHAINS_MAX_N = 15
 EXPAND_MAX_N = 14
 DEFAULT_SELFTEST_MAX_N = 8

@@ -26,8 +26,11 @@ l blocks sum to B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, so
 and be nonnegative, as every coefficient of a matroid's Kazhdan-Lusztig
 polynomial is (Braden-Huh-Matherne-Proudfoot-Wang).  None of these checks
 is optional.  The first reads every C_{l,j} with l < n and j <= k, so the
-memo fills bottom-up in n: O(n*k) entries of O(n*k) Stirling products
-each, with no partition and no polynomial product.
+memo fills bottom-up in n.  Its products s(n, l+j) * S(l+j, l) do not
+depend on k, so each is formed once per row n and kept on the table until
+another row is solved, and the terms whose C_{l,k-j} is zero are skipped:
+an entry costs O(n*k) multiplications, a row O(n^2) Stirling products, and
+no entry builds a partition or a polynomial product.
 
 Those checks read the Stirling cache that the diagonal reads.  Rows
 n <= PARTITION_CHECK_MAX_N are also closed against the defining identity
@@ -47,6 +50,7 @@ row costs one product per l rather than several per partition.
 from __future__ import annotations
 
 import threading
+from operator import add
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -73,6 +77,9 @@ class KLTable:
         self._coeffs: dict[tuple[int, int], int] = {}
         # chi_lam keyed by lam's blocks > 1, in decreasing order
         self._chi: dict[tuple[int, ...], IntPoly] = {(): IntPoly.one()}
+        # row m's s(m, l+j) * S(l+j, l), as _products[l][j], for _products_row
+        self._products_row = 0
+        self._products: list[list[int]] = []
         self._lock = threading.RLock()
 
     def _chi_product(self, key: tuple[int, ...]) -> IntPoly:
@@ -81,7 +88,8 @@ class KLTable:
             if len(key) == 1:
                 prod = partition_char_poly(key[0])
             else:
-                prod = self._chi_product(key[:1]) * self._chi_product(key[1:])
+                # splitting off the smallest block makes the cheapest product
+                prod = self._chi_product(key[:-1]) * self._chi_product(key[-1:])
             self._chi[key] = prod
         return prod
 
@@ -107,8 +115,8 @@ class KLTable:
             by_length: dict[int, list[int]] = {}
             for lam, term in self._summands(m, include_trivial=False):
                 acc = by_length.setdefault(lam.length, [0] * m)
-                for k, c in enumerate(term.coeffs):
-                    acc[k] += c
+                cs = term.coeffs
+                acc[:len(cs)] = map(add, acc, cs)
             q = IntPoly()
             for l, acc in by_length.items():
                 q = q + IntPoly(acc) * self._polys[l]
@@ -121,7 +129,8 @@ class KLTable:
         for lam in partitions_of(n):
             if lam.length == n and not include_trivial:
                 continue
-            key = tuple(b for b in lam.blocks if b > 1)
+            blocks = lam.blocks
+            key = blocks[:len(blocks) - blocks.count(1)]
             yield lam, multiplicity(lam) * self._chi_product(key)
 
     def _coeff(self, m: int, k: int) -> int:
@@ -140,14 +149,30 @@ class KLTable:
             if (m, k) not in self._coeffs:
                 self._coeffs[m, k] = self._solve_diagonal(m, k)
 
+    def _row_products(self, m: int, k: int) -> list[list[int]]:
+        """s(m, l+j) * S(l+j, l) as [l][j], for 0 < l < m and j <= min(k, m-l),
+        kept for row m; called under the lock."""
+        if self._products_row != m:
+            self._products_row = m
+            self._products = [[] for _ in range(m)]
+        products = self._products
+        for l in range(1, m):
+            row = products[l]
+            for j in range(len(row), min(k, m - l) + 1):
+                row.append(stirling_first(m, l + j) * stirling_second(l + j, l))
+        return products
+
     def _solve_diagonal(self, m: int, k: int) -> int:
         """C_{m,k} from the Z-polynomial, checked against both coefficients
         of the grouped defining identity and for sign."""
         coeff = self._coeff
         c = (sum(stirling_second(m, l) * coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1))
              - sum(stirling_second(m, m - d) * coeff(m - d, k - d) for d in range(1, k + 1)))
-        low = -sum(stirling_first(m, l + j) * stirling_second(l + j, l) * coeff(l, k - j)
-                   for l in range(1, m) for j in range(min(k, m - l) + 1))
+        # C_{l,k-j} = 0 for 0 < k-j, 2(k-j) >= l-1: those terms are skipped
+        products = self._row_products(m, k)
+        low = -sum(products[l][j] * coeff(l, k - j)
+                   for l in range(1, m)
+                   for j in range(max(0, k - max(0, (l - 2) // 2)), min(k, m - l) + 1))
         # the chain form; C_{l,xi} = 0 for l > 2k, where xi >= l-1-k > (l-2)/2
         high = 0
         for l in range(1, 2 * k + 1):

@@ -14,7 +14,6 @@ set partitions so that formula can be checked against a census.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import groupby
 from math import factorial
 
 from .errors import InternalConsistencyError, OracleBoundError
@@ -34,6 +33,14 @@ class IntPartition:
         if any(type(b) is not int or b < 1 for b in bs):
             raise ValueError(f"blocks must be positive ints: {blocks!r}")
         self.blocks = tuple(bs)
+
+    @classmethod
+    def _trusted(cls, blocks: tuple[int, ...]) -> "IntPartition":
+        """A partition of ``blocks``, which must already be a weakly
+        decreasing tuple of positive ints: nothing is sorted or checked."""
+        lam = object.__new__(cls)
+        lam.blocks = blocks
+        return lam
 
     @classmethod
     def parse(cls, text: str) -> "IntPartition":
@@ -83,28 +90,53 @@ def revlex_key(lam: IntPartition):
 
 
 def partitions_of(n: int) -> Iterator[IntPartition]:
-    """All partitions of n, in reverse lexicographic order."""
+    """All partitions of n, in reverse lexicographic order.
+
+    Zoghbi-Stojmenovic ZS1: x[:m] is the current partition, and x[h-1] its
+    last block above 1.  Each step lowers that block by one and refills the
+    blocks after it with as many copies of the new value as the freed mass
+    allows, then the remainder.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    for blocks in gen(n, n):
-        yield IntPartition(blocks)
+    x = [1] * n
+    x[0] = n
+    m = h = 1
+    trusted = IntPartition._trusted
+    yield trusted((n,))
+    while x[0] != 1:
+        if x[h - 1] == 2:
+            m += 1
+            x[h - 1] = 1
+            h -= 1
+        else:
+            r = x[h - 1] - 1
+            t = m - h + 1
+            x[h - 1] = r
+            while t >= r:
+                x[h] = r
+                h += 1
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    x[h] = t
+                    h += 1
+        yield trusted(tuple(x[:m]))
 
 
 def multiplicity(lam: IntPartition) -> int:
     """Number of set partitions of a |lam|-set with block sizes lam."""
+    blocks = lam.blocks
     denom = 1
-    for b, run in groupby(lam.blocks):
-        count = sum(1 for _ in run)
-        denom *= factorial(b) ** count * factorial(count)
+    k = 0
+    while k < len(blocks):
+        b = blocks[k]
+        run = blocks.count(b)
+        denom *= factorial(b) ** run * factorial(run)
+        k += run
     q, r = divmod(factorial(lam.size), denom)
     if r:
         raise InternalConsistencyError(f"inexact multiplicity division for {lam}")

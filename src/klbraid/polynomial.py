@@ -95,7 +95,10 @@ class IntPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+            # a nonzero scalar leaves every coefficient a nonzero int
+            out = object.__new__(IntPoly)
+            out.coeffs = tuple([c * other for c in self.coeffs]) if other else ()
+            return out
         if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:

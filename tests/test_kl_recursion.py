@@ -235,6 +235,41 @@ def test_rows_and_coefficients_share_one_memo(monkeypatch):
     assert len(solved) == len(set(solved))
 
 
+def test_interleaved_coefficients_and_rows_read_no_stale_products():
+    # each call leaves the table's row products at the last row it solved;
+    # the next call must rebuild them for a new row, and extend them when
+    # it needs more of the same row (the two kl_coeff(60, .) calls)
+    table = KLTable()
+    kl_coeff(40, 3, table)
+    table.poly(25)
+    kl_coeff(59, 10, table)
+    kl_coeff(60, 8, table)
+    kl_coeff(60, 10, table)
+    table.poly(45)
+    kl_coeff(30, 12, table)
+    fresh = KLTable()
+    for n in range(1, 61):
+        assert [kl_coeff(n, i, table) for i in range(n // 2 + 1)] == [
+            fresh.poly(n).coeff(i) for i in range(n // 2 + 1)], n
+
+
+def test_row_fill_reads_each_stirling_product_once(monkeypatch):
+    # a cold row fill to 30 reads 17,958 Stirling numbers; one read of
+    # s(m, l+j) * S(l+j, l) per entry k instead of per row reads 57,582
+    reads = [0]
+
+    def counted(real):
+        def read(n, k):
+            reads[0] += 1
+            return real(n, k)
+        return read
+
+    monkeypatch.setattr(kl_recursion, "stirling_first", counted(kl_recursion.stirling_first))
+    monkeypatch.setattr(kl_recursion, "stirling_second", counted(kl_recursion.stirling_second))
+    KLTable().poly(30)
+    assert reads[0] <= 19_000
+
+
 def test_diagonal_walks_no_partition(cold, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the diagonal walked partitions")

@@ -87,6 +87,26 @@ def test_partitions_order_is_reverse_lex():
     assert got == sorted(got, key=lambda b: revlex_key(IntPartition(b)))
 
 
+def test_generated_partitions_are_canonical():
+    # partitions_of skips IntPartition's sort and checks, so each partition
+    # it yields must be the one the constructor would build
+    counts = [1] + [0] * 16
+    for b in range(1, 17):
+        for n in range(b, 17):
+            counts[n] += counts[n - b]
+    for n in range(1, 17):
+        got = list(partitions_of(n))
+        assert len(got) == len(set(got)) == counts[n]
+        keys = [revlex_key(lam) for lam in got]
+        assert keys == sorted(keys)
+        for lam in got:
+            built = IntPartition(lam.blocks)
+            assert lam == built and hash(lam) == hash(built)
+            assert type(lam.blocks) is tuple and sum(lam.blocks) == n
+            assert all(type(b) is int and b >= 1 for b in lam.blocks)
+            assert all(a >= b for a, b in zip(lam.blocks, lam.blocks[1:]))
+
+
 def test_multiplicity_small_values():
     assert multiplicity(IntPartition([2])) == 1
     assert multiplicity(IntPartition([2, 1])) == 3

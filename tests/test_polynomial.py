@@ -152,3 +152,16 @@ def test_reverse_round_trip(p, extra):
 @given(polys)
 def test_json_round_trip_property(p):
     assert IntPoly.from_json_obj(p.to_json_obj()) == p
+
+
+@given(polys, scalars)
+@example(IntPoly([3, 0, 7]), 0)
+def test_scalar_products_are_canonical(p, c):
+    # the scalar product skips the constructor, so it must come out in the
+    # constructor's own form: a tuple of ints with no trailing zero
+    assert p * 0 == 0 * p == IntPoly()
+    for q in (p * c, c * p):
+        assert q == IntPoly([x * c for x in p.coeffs])
+        assert type(q.coeffs) is tuple
+        assert all(type(x) is int for x in q.coeffs)
+        assert not q.coeffs or q.coeffs[-1] != 0
