@@ -22,8 +22,10 @@ blocks at total T to one product of Stirling numbers of both kinds:
 
 So C_{n,i} = sum over l and xi_1 of s(n, alpha_1 + l) * S(alpha_1 + l, l)
 times C_{l,xi_1}, or times 1 when xi_1 = 0, with alpha_1 = n - 1 - i - xi_1
-and 0 <= alpha_1 <= n - l.  The sums are memoized per (n, i); each costs
-O(n^2) Stirling products and builds no partition and no triple.
+and 0 <= alpha_1 <= n - l.  For l >= 2, alpha_1 <= n - l and
+xi_1 <= (l - 2)/2 together force l <= 2i.  So l runs to max(1, 2i), and each
+sum makes O(i^2) iterations, one product of two Stirling numbers each.
+The sums are memoized per (n, i) and build no partition and no triple.
 
 Triples and per-partition links are kept to list and audit the sum
 (``enumerate_K``, ``term_value``).  A link is computed from its
@@ -117,7 +119,7 @@ def _grouped_sum(n: int, i: int) -> int:
     if value is None:
         value = 0
         target = n - 1 - i
-        for l in range(1, n + 1):
+        for l in range(1, max(1, 2 * i) + 1):
             for xi in range(xi_upper_bound(l) + 1):
                 alpha = target - xi
                 if 0 <= alpha <= n - l:
@@ -138,8 +140,8 @@ def kl_coeff_via_chains(n: int, i: int) -> int:
 
     so C_{n,i} is the sum over l and xi_1 of s(n, alpha_1 + l) *
     S(alpha_1 + l, l) times C_{l,xi_1} (or times 1 when xi_1 = 0), with
-    alpha_1 = n - 1 - i - xi_1.  That is O(n^2) Stirling products per
-    coefficient and no partition.
+    alpha_1 = n - 1 - i - xi_1.  Only l <= max(1, 2i) admits a xi_1, so that
+    is O(i^2) Stirling products per coefficient and no partition.
 
     Same domain as the enumeration: n >= 2, 0 <= i < (n-1)/2.  Degree
     positions outside that window are not meaningful here (use the recursion,
@@ -173,16 +175,12 @@ def term_text(breakdown: TermBreakdown) -> str:
     return "".join(_factor_text(fb) for fb in breakdown.factors)
 
 
-class ExpansionGroup:
-    """One top partition's terms and their subtotal; ``symbolic_expansion``
-    extends both as it meets the partition's terms, so this is not a tuple."""
+class ExpansionGroup(NamedTuple):
+    """One top partition's terms, each with its rendered text, and their subtotal."""
 
-    __slots__ = ("lambda1", "terms", "value")
-
-    def __init__(self, lambda1: IntPartition, terms: list[tuple[TermBreakdown, str]], value: int):
-        self.lambda1 = lambda1
-        self.terms = terms
-        self.value = value
+    lambda1: IntPartition
+    terms: tuple[tuple[TermBreakdown, str], ...]
+    value: int
 
 
 class SymbolicExpansion(NamedTuple):
@@ -240,18 +238,14 @@ def symbolic_expansion(n: int, i: int) -> SymbolicExpansion:
 
     # enumeration is sorted by (q, Lambda, A), so one lam_1 may recur after
     # others; the dict keeps each group at its first appearance
-    groups: dict[IntPartition, ExpansionGroup] = {}
+    terms: dict[IntPartition, list[tuple[TermBreakdown, str]]] = {}
     for triple in enumerate_K(n, i):
         entries = [link(lam, alpha) for lam, alpha in zip(triple.Lambda, triple.A)]
         tb = _term(triple, tuple(fb for fb, _ in entries))
-        lam1 = triple.Lambda[0]
-        g = groups.get(lam1)
-        if g is None:
-            g = groups[lam1] = ExpansionGroup(lambda1=lam1, terms=[], value=0)
-        g.terms.append((tb, "".join(text for _, text in entries)))
-        g.value += tb.value
-    final = list(groups.values())
-    return SymbolicExpansion(n=n, i=i, groups=final, total=sum(g.value for g in final))
+        terms.setdefault(triple.Lambda[0], []).append((tb, "".join(text for _, text in entries)))
+    groups = [ExpansionGroup(lam1, tuple(ts), sum(tb.value for tb, _ in ts))
+              for lam1, ts in terms.items()]
+    return SymbolicExpansion(n=n, i=i, groups=groups, total=sum(g.value for g in groups))
 
 
 def group_values(n: int, i: int) -> dict[tuple[int, ...], int]:

@@ -181,19 +181,13 @@ def run(args) -> int:
         failures += not ok
         print(f"check {name:<24} {'PASS' if ok else 'FAIL'}  ({detail})")
     print("pxy reading selection (advisory):")
-    report = whitney2.pxy_grid_report(max_n=min(args.max_n, 10), max_i=2)
-    promoted = None
-    for name, res in report.items():
-        if res.matches:
-            mark = "matches grid"
-            promoted = promoted or name
-        else:
-            n, i, got, want = res.mismatches[0]
-            mark = f"mismatch at (n={n}, i={i}): got {got}, want {want}"
-        print(f"  {name:<24} {mark}")
-    if promoted:
-        print(f"  promoted default: {promoted}")
+    (res,) = whitney2.pxy_grid_report(max_n=min(args.max_n, 10), max_i=2).values()
+    if res.matches:
+        print(f"  {res.name:<24} matches grid")
+        print(f"  promoted default: {res.name}")
     else:
+        n, i, got, want = res.mismatches[0]
+        print(f"  {res.name:<24} mismatch at (n={n}, i={i}): got {got}, want {want}")
         print("  no reading matches; nearest misses above (advisory, not a failure)")
     total = len(CHECKS)
     print(f"selftest: {'PASS' if failures == 0 else 'FAIL'} "

@@ -296,6 +296,11 @@ def cmd_expand(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # below 2 every check's range is empty, so a pass would check nothing
+    for flag, bound in (("--max-n", args.max_n), ("--oracle-max-n", args.oracle_max_n),
+                        ("--chain-max-n", args.chain_max_n)):
+        if bound < 2:
+            raise UsageError(f"need {flag} >= 2")
     _require("recursion", args.max_n, 0, args)
     from . import checks
 

@@ -192,10 +192,6 @@ class KLTable:
 _DEFAULT_TABLE = KLTable()
 
 
-def default_table() -> KLTable:
-    return _DEFAULT_TABLE
-
-
 def kl_braid_poly(n: int, table: KLTable | None = None) -> IntPoly:
     """P_n(t), the Kazhdan-Lusztig polynomial of the braid matroid on n strands."""
     return (table or _DEFAULT_TABLE).poly(n)

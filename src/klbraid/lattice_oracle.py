@@ -24,8 +24,8 @@ elements x classes mask operations plus rank + 1 solves on a partition
 lattice, elements^2 mask operations and a solve per element when every
 value is distinct.
 
-Scale: partition lattices up to the configured bound (Bell(9) = 21147
-elements is the default ceiling; the generic recursion is capped lower).
+Scale: partition lattices up to ``DEFAULT_LATTICE_BOUND`` (Bell(9) = 21147
+elements); the generic recursion is capped lower.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class RankedLattice:
         return row
 
 
-def build_partition_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> RankedLattice:
+def build_partition_lattice(n: int) -> RankedLattice:
     """The lattice of set partitions of {1..n}, ordered by refinement.
 
     The all-singletons partition is the bottom (rank 0); rank is n minus the
@@ -160,8 +160,8 @@ def build_partition_lattice(n: int, bound: int = DEFAULT_LATTICE_BOUND) -> Ranke
     """
     if n < 2:
         raise ValueError("partition lattice needs n >= 2")
-    if n > bound:
-        raise OracleBoundError(f"partition lattice capped at n <= {bound}, got {n}")
+    if n > DEFAULT_LATTICE_BOUND:
+        raise OracleBoundError(f"partition lattice capped at n <= {DEFAULT_LATTICE_BOUND}, got {n}")
     elements = sorted(_set_partitions_unchecked(n), key=lambda p: (n - len(p), p))
     width = (len(elements) + 7) >> 3
     together = {pair: bytearray(width) for pair in combinations(range(1, n + 1), 2)}
@@ -299,7 +299,7 @@ def braid_kl_generic(n: int) -> IntPoly:
 
     Solved once per n per process.  Only the polynomial is kept, so the
     lattice is freed after the solve.  The lattice is built under
-    ``build_partition_lattice``'s default cap, ``DEFAULT_LATTICE_BOUND``.
+    ``build_partition_lattice``'s cap, ``DEFAULT_LATTICE_BOUND``.
     The lock keeps two threads from building the same lattice at once,
     which would double peak memory.
     """

@@ -14,6 +14,7 @@ set partitions so that formula can be checked against a census.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import product
 from math import factorial
 
 from .errors import InternalConsistencyError, OracleBoundError
@@ -59,11 +60,6 @@ class IntPartition:
     @property
     def length(self) -> int:
         return len(self.blocks)
-
-    def conjugate(self) -> "IntPartition":
-        return IntPartition(
-            sum(1 for b in self.blocks if b >= j) for j in range(1, self.blocks[0] + 1)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, IntPartition):
@@ -148,27 +144,12 @@ def bounded_compositions(lam: IntPartition, total: int) -> Iterator[tuple[int, .
 
     Emitted in ascending lexicographic order.  The feasible totals are
     exactly length(lam) <= total <= size(lam); anything else yields nothing.
+    Every one of the prod(b_k) tuples is tried: at most 162 for a partition
+    of 14, the largest that ``expand`` renders.
     """
-    bounds = lam.blocks
-    l = len(bounds)
-    suffix_max = [0] * (l + 1)
-    for k in range(l - 1, -1, -1):
-        suffix_max[k] = suffix_max[k + 1] + bounds[k]
-
-    def rec(k, remaining, acc):
-        if k == l:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        slots_after = l - k - 1
-        lo = max(1, remaining - (suffix_max[k + 1]))
-        hi = min(bounds[k], remaining - slots_after)
-        for d in range(lo, hi + 1):
-            acc.append(d)
-            yield from rec(k + 1, remaining - d, acc)
-            acc.pop()
-
-    yield from rec(0, total, [])
+    for comp in product(*(range(1, b + 1) for b in lam.blocks)):
+        if sum(comp) == total:
+            yield comp
 
 
 def _set_partitions_unchecked(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

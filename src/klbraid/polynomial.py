@@ -36,12 +36,6 @@ class IntPoly:
     def one(cls) -> "IntPoly":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "IntPoly":
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

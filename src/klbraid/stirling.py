@@ -91,10 +91,6 @@ class StirlingCache:
 _DEFAULT_CACHE = StirlingCache()
 
 
-def default_cache() -> StirlingCache:
-    return _DEFAULT_CACHE
-
-
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k)."""
     return _DEFAULT_CACHE.first(n, k)

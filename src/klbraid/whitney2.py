@@ -26,6 +26,13 @@ pairs a[t_j(D)] with the previous index a[j-1], and D runs over all subsets
 of {1..r}: pairing with the following index a[j+1] instead misses the
 recursion at (n, i) = (5, 1), and restricting D to proper subsets misses it
 at (4, 1).  ``pxy_grid_report`` scores the sum against the recursion.
+
+Every flag index in the sum is valid, so ``flag_whitney_product`` is called
+on it directly, and raises ``ValueError`` on one that is not.  The a_k
+strictly increase (a_{r+1} = N - i > i because 2i < N), and t_j(D) >= j is
+nondecreasing in j.  So as j runs r, ..., 1, a[t_j(D)] + a[j-1] strictly
+decreases, from at most (N - i) + (i - 1) to at least a_1 >= 1, and the
+entries strictly increase within [1, N - 1].
 """
 
 from __future__ import annotations
@@ -83,19 +90,12 @@ def kl_c1(n: int) -> int:
 
 # --- the alternating triple sum ----------------------------------------------
 
-def _w_tolerant(n: int, ranks: Sequence[int]) -> int:
-    # out-of-range or non-monotone index vectors count no flags at all
-    prev = 0
-    for r in ranks:
-        if r < 0 or r > n - 1 or r < prev:
-            return 0
-        prev = r
-    return flag_whitney_product(n, ranks)
-
-
-def _read_w_rank_prev(n: int, i: int) -> int:
-    # flag index entry for link j pairs a_{t_j(D)} with the *previous*
-    # a_{j-1}; listed from j = r down to 1 the entries increase
+def kl_coeff_via_pxy(n: int, i: int) -> int:
+    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if i < 1 or 2 * i >= n - 1:
+        raise ValueError(f"coefficient index {i} outside (0, (n-1)/2) for n={n}")
     N = n - 1
     total = 0
     for r in range(1, i + 1):
@@ -112,17 +112,8 @@ def _read_w_rank_prev(n: int, i: int) -> int:
                 for middle in combinations(range(1, i), r - 1):
                     a = (0,) + middle + (i, N - i)
                     idx = tuple(N - (a[t[j]] + a[j - 1]) for j in range(r, 0, -1))
-                    total += sign * _w_tolerant(n, idx)
+                    total += sign * flag_whitney_product(n, idx)
     return total
-
-
-def kl_coeff_via_pxy(n: int, i: int) -> int:
-    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if i < 1 or 2 * i >= n - 1:
-        raise ValueError(f"coefficient index {i} outside (0, (n-1)/2) for n={n}")
-    return _read_w_rank_prev(n, i)
 
 
 class GridResult(NamedTuple):
@@ -149,7 +140,7 @@ def pxy_grid_report(max_n: int = 10, max_i: int = 2) -> dict[str, GridResult]:
     ]
     mism = []
     for n, i in cells:
-        got = _read_w_rank_prev(n, i)
+        got = kl_coeff_via_pxy(n, i)
         want = kl_coeff(n, i)
         if got != want:
             mism.append((n, i, got, want))

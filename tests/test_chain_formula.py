@@ -153,6 +153,22 @@ def test_chain_sum_walks_no_partition(monkeypatch):
             kl_coeff_via_chains(n, i)
 
 
+def test_chain_sum_walks_only_heads_that_exist(monkeypatch):
+    # a head with l >= 2 needs l <= 2i, so a small i at large n walks a few
+    # l, not all n of them
+    calls = []
+    real = chain_formula.xi_upper_bound
+
+    def counting(length):
+        calls.append(length)
+        return real(length)
+
+    monkeypatch.setattr(chain_formula, "xi_upper_bound", counting)
+    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
+    assert kl_coeff_via_chains(300, 3) == kl_coeff(300, 3)
+    assert len(calls) < 40
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_link_row_equals_composition_sum(n):
     # the reference row's convolution against each link's composition list

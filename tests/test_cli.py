@@ -144,6 +144,13 @@ def test_recursion_cap_fails_before_any_work(monkeypatch, capsys):
     assert capsys.readouterr().out == f"{2 ** 100 - 1 - 101 * 100 // 2}\n"
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--oracle-max-n", "--chain-max-n"])
+def test_selftest_refuses_bounds_below_two(flag, capsys):
+    # below 2 every check's range is empty, so a pass would check nothing
+    assert cli.main(["selftest", flag, "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: need {flag} >= 2\n")
+
+
 def test_corollary_cap_fails_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("Stirling table grown despite the cap")
@@ -278,7 +285,7 @@ def test_selftest_passes():
 _CORRUPT_STIRLING = """
 import sys
 from klbraid import cli, stirling
-cache = stirling.default_cache()
+cache = stirling._DEFAULT_CACHE
 cache.first(8, 3)
 cache.second(8, 3)
 cache._first[7][3] += 1

@@ -10,7 +10,6 @@ from klbraid import kl_recursion, stirling
 from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import (
     KLTable,
-    default_table,
     kl_braid_poly,
     kl_coeff,
     verify_defining_identity,
@@ -142,7 +141,6 @@ def test_fresh_table_is_isolated():
     table = KLTable()
     assert table.poly(6) == KNOWN_POLYS[6]
     assert kl_braid_poly(6, table) == KNOWN_POLYS[6]
-    assert default_table() is default_table()
 
 
 def test_identity_report_structure():
@@ -211,7 +209,7 @@ def test_cold_diagonal_equals_the_fill(cold):
     for i in range(16):
         for n in range(1, 31):
             assert kl_coeff(n, i) == fill.poly(n).coeff(i), (n, i)
-    assert len(default_table()._polys) == 2
+    assert len(kl_recursion._DEFAULT_TABLE._polys) == 2
 
 
 def test_rows_and_coefficients_share_one_memo(monkeypatch):
@@ -285,7 +283,7 @@ def test_diagonal_walks_no_partition(cold, monkeypatch):
             assert kl_coeff(n, 1) == 2 ** (n - 1) - 1 - n * (n - 1) // 2
         for i in range(2, n):
             kl_coeff(n, i)
-    assert default_table()._polys == [None, IntPoly.one()]
+    assert kl_recursion._DEFAULT_TABLE._polys == [None, IntPoly.one()]
 
 
 @pytest.mark.parametrize("entries", [

@@ -59,15 +59,6 @@ def test_size_and_length():
     assert lam.length == 4
 
 
-def test_conjugate():
-    assert IntPartition([4, 2, 1]).conjugate() == IntPartition([3, 2, 1, 1])
-    assert IntPartition([5]).conjugate() == IntPartition([1] * 5)
-    for n in range(1, 9):
-        for lam in partitions_of(n):
-            assert lam.conjugate().conjugate() == lam
-            assert lam.conjugate().size == lam.size
-
-
 @pytest.mark.parametrize("n,count", sorted(PARTITION_COUNTS.items()))
 def test_partition_counts(n, count):
     assert len(list(partitions_of(n))) == count

@@ -27,7 +27,6 @@ def test_degree_conventions():
     assert IntPoly.zero().degree == -1
     assert IntPoly.one().degree == 0
     assert IntPoly([0, 0, 7]).degree == 2
-    assert IntPoly.monomial(3, 5).degree == 5
 
 
 def test_coeff_access():
@@ -38,10 +37,6 @@ def test_coeff_access():
     assert p.coeff(99) == 0
     with pytest.raises(ValueError):
         p.coeff(-1)
-
-
-def test_monomial_zero_coefficient_collapses():
-    assert IntPoly.monomial(0, 4) == IntPoly.zero()
 
 
 def test_ring_ops():

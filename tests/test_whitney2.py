@@ -93,7 +93,7 @@ def test_grid_report_diagnoses_a_wrong_sum(monkeypatch):
     assert report["w-rank-prev"].matches
     # a sum that is zero everywhere misses at the first grid cell, and the
     # mismatches carry (n, i, got, want) diagnostics
-    monkeypatch.setattr(whitney2, "_read_w_rank_prev", lambda n, i: 0)
+    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i: 0)
     (res,) = pxy_grid_report(max_n=8, max_i=2).values()
     assert not res.matches
     assert res.mismatches[0] == (4, 1, 0, 1)
