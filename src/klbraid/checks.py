@@ -15,7 +15,10 @@ formula over one Stirling cache.  The recursion is checked independently
 by the partition close of rows n <= ``PARTITION_CHECK_MAX_N``,
 which reads no Stirling number; by the lattice oracle; by the pxy sum,
 which combines second-kind numbers through flag Whitney counts rather than
-the Z-polynomial; and at i = 1 by the degree-one closed forms.
+the Z-polynomial; and at i = 1 by the degree-one closed forms.  The close
+and ``defining_identity`` compute the one identity two ways, from a
+set-partition recurrence by block count and term by term over integer
+partitions with their multiplicities, so each checks the other.
 """
 
 from __future__ import annotations

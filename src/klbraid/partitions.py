@@ -8,14 +8,16 @@ multiset is a given partition of n, via the factorial formula
 
 where r_b is the number of blocks of size exactly b: the length of a run of
 equal blocks in the sorted tuple.  ``set_partitions_of`` enumerates actual
-set partitions so that formula can be checked against a census.
+set partitions so that formula can be checked against a census, and
+``set_partition_row`` sums weights over set partitions by block count
+without enumerating them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 from .errors import InternalConsistencyError, OracleBoundError
 
@@ -137,6 +139,28 @@ def multiplicity(lam: IntPartition) -> int:
     if r:
         raise InternalConsistencyError(f"inexact multiplicity division for {lam}")
     return q
+
+
+def set_partition_row(rows: list, weights):
+    """Row m = len(rows) of B_{m,l}, the sum over the set partitions of an
+    m-set into l blocks of the product of their blocks' weights.
+
+    ``rows[k][l]`` is B_{k,l} for 0 < l <= k < m; ``weights[b-1]`` weighs a
+    block of size b, for b <= m.  Splitting on the size b of the block that
+    holds one fixed point (Stanley, Enumerative Combinatorics 2, section 5.1),
+
+        B_{m,l} = sum_b C(m-1, b-1) * w_b * B_{m-b,l-1},
+
+    so a row costs one product per (l, b) and walks no partition.  Entry
+    l = 0 of the result is zero; rows[0] is never read.
+    """
+    m = len(rows)
+    zero = 0 * weights[0]
+    heads = [zero] + [comb(m - 1, b - 1) * weights[b - 1] for b in range(1, m + 1)]
+    row = [zero, heads[m]]
+    for l in range(2, m + 1):
+        row.append(sum((heads[b] * rows[m - b][l - 1] for b in range(1, m - l + 2)), zero))
+    return row
 
 
 def bounded_compositions(lam: IntPartition, total: int) -> Iterator[tuple[int, ...]]:

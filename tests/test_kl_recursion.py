@@ -16,6 +16,7 @@ from klbraid.kl_recursion import (
 )
 from klbraid.partitions import partitions_of
 from klbraid.polynomial import IntPoly
+from klbraid.stirling import partition_char_poly
 from klbraid.whitney2 import kl_coeff_via_pxy
 
 # frozen low-order polynomials, cross-checked against the lattice oracle
@@ -75,33 +76,65 @@ def test_negative_coefficient_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize("m", [4, kl_recursion.PARTITION_CHECK_MAX_N])
 def test_broken_partition_identity_is_rejected(monkeypatch, m):
-    # drop the one-block summand, so only the partition close can refuse row m
+    # drop the one-block term, so only the partition close can refuse row m
     table = KLTable()
     table.poly(m - 1)
-    real = table._summands
-    monkeypatch.setattr(table, "_summands", lambda n, include_trivial: (
-        (lam, term) for lam, term in real(n, include_trivial) if lam.length > 1))
-    with pytest.raises(InternalConsistencyError, match=f"defining identity failed to close at n={m}"):
-        table.poly(m)
+    real = kl_recursion.set_partition_row
+
+    def broken(rows, weights):
+        row = real(rows, weights)
+        row[1] = IntPoly()
+        return row
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kl_recursion, "set_partition_row", broken)
+        with pytest.raises(InternalConsistencyError,
+                           match=f"defining identity failed to close at n={m}"):
+            table.poly(m)
     assert len(table._polys) == m
+    # the refused row of B was not kept, so rows m and m + 1 close against
+    # the right rows of B
+    fresh = KLTable()
+    assert table.poly(m) == fresh.poly(m)
+    assert table.poly(m + 1) == fresh.poly(m + 1)
 
 
 def test_every_block_count_is_checked(monkeypatch):
-    # one more set partition of a single shape changes only the terms of that
-    # shape's block count, so the close must refuse row 12 for every length
+    # one more set partition of a single shape changes only B_{12,l} for that
+    # shape's block count l, so the close must refuse row 12 for every l
     table = KLTable()
     table.poly(11)
-    real = kl_recursion.multiplicity
+    real = kl_recursion.set_partition_row
     for l in range(1, 12):
         target = next(lam for lam in partitions_of(12) if lam.length == l)
+        extra = IntPoly.one()
+        for b in target.blocks:
+            extra = extra * partition_char_poly(b)
+
+        def corrupted(rows, weights, l=l, extra=extra):
+            row = real(rows, weights)
+            row[l] = row[l] + extra
+            return row
+
         with monkeypatch.context() as patch:
-            patch.setattr(kl_recursion, "multiplicity",
-                          lambda lam, target=target: real(lam) + (lam == target))
+            patch.setattr(kl_recursion, "set_partition_row", corrupted)
             with pytest.raises(InternalConsistencyError,
                                match="defining identity failed to close at n=12"):
                 table.poly(12)
         assert len(table._polys) == 12
     assert table.poly(12) == KLTable().poly(12)
+
+
+def test_partition_close_walks_no_integer_partition(monkeypatch):
+    top = kl_recursion.PARTITION_CHECK_MAX_N
+    want = KLTable().poly(top)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partition close walked integer partitions")
+
+    monkeypatch.setattr(kl_recursion, "partitions_of", refuse)
+    monkeypatch.setattr(kl_recursion, "multiplicity", refuse)
+    assert KLTable().poly(top) == want
 
 
 def test_rows_past_the_partition_check_walk_no_partition(monkeypatch):

@@ -15,10 +15,12 @@ from klbraid.partitions import (
     multiplicity,
     partitions_of,
     revlex_key,
+    set_partition_row,
     set_partitions_of,
     shape_of,
 )
-from klbraid.stirling import bell_number
+from klbraid.polynomial import IntPoly
+from klbraid.stirling import bell_number, partition_char_poly
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
 
@@ -144,6 +146,37 @@ def test_set_partition_bound_enforced():
 
 def test_shape_of():
     assert shape_of(((1, 3), (2,), (4, 5, 6))).blocks == (3, 2, 1)
+
+
+def _set_partition_rows(top, weights, one):
+    rows = [[one]]
+    while len(rows) <= top:
+        rows.append(set_partition_row(rows, weights))
+    return rows
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=7, max_size=7))
+def test_set_partition_rows_match_brute_force(weights):
+    rows = _set_partition_rows(7, weights, 1)
+    for n in range(1, 8):
+        want = [0] * (n + 1)
+        for sp in set_partitions_of(n):
+            want[len(sp)] += math.prod(weights[len(block) - 1] for block in sp)
+        assert rows[n] == want
+
+
+def test_set_partition_rows_sum_the_shapes():
+    # with chi weights, B_{n,l} = sum over lam |- n of length l of m(lam) * chi_lam
+    chi = [partition_char_poly(b) for b in range(1, 21)]
+    rows = _set_partition_rows(20, chi, IntPoly.one())
+    for n in range(1, 21):
+        want = [IntPoly()] * (n + 1)
+        for lam in partitions_of(n):
+            term = IntPoly.one() * multiplicity(lam)
+            for b in lam.blocks:
+                term = term * chi[b - 1]
+            want[lam.length] = want[lam.length] + term
+        assert rows[n] == want
 
 
 def test_bounded_compositions_exhaustive():
