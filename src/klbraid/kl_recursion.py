@@ -27,8 +27,8 @@ and be nonnegative, as every coefficient of a matroid's Kazhdan-Lusztig
 polynomial is (Braden-Huh-Matherne-Proudfoot-Wang).  None of these checks
 is optional.  The first reads every C_{l,j} with l < n and j <= k, so the
 memo fills bottom-up in n.  Its products s(n, l+j) * S(l+j, l) do not
-depend on k, so each is formed once per row n and kept on the table until
-another row is solved, and the terms whose C_{l,k-j} is zero are skipped:
+depend on k, so each is formed once per call that fills row n and shared by
+the entries it solves, and the terms whose C_{l,k-j} is zero are skipped:
 an entry costs O(n*k) multiplications, a row O(n^2) Stirling products, and
 no entry builds a partition or a polynomial product.
 
@@ -82,9 +82,6 @@ class KLTable:
         # B_{m,l} as _block_rows[m][l], for the rows m <= PARTITION_CHECK_MAX_N
         # closed so far; _block_rows[0] is never read
         self._block_rows: list[list[IntPoly]] = [[IntPoly.one()], [IntPoly(), IntPoly.one()]]
-        # row m's s(m, l+j) * S(l+j, l), as _products[l][j], for _products_row
-        self._products_row = 0
-        self._products: list[list[int]] = []
         self._lock = threading.RLock()
 
     def _chi_product(self, key: tuple[int, ...]) -> IntPoly:
@@ -139,31 +136,24 @@ class KLTable:
     def _fill_row(self, m: int, top: int) -> None:
         """Memoize C_{m,k} for 0 < k <= top; needs every C_{l,j} with l < m
         and j <= top."""
-        for k in range(1, min(top, (m - 2) // 2) + 1):
-            if (m, k) not in self._coeffs:
-                self._coeffs[m, k] = self._solve_diagonal(m, k)
+        todo = [k for k in range(1, min(top, (m - 2) // 2) + 1) if (m, k) not in self._coeffs]
+        if not todo:
+            return
+        # s(m, l+j) * S(l+j, l) as products[l][j]; products[0] is never read
+        products = [[]] + [[stirling_first(m, l + j) * stirling_second(l + j, l)
+                            for j in range(min(todo[-1], m - l) + 1)]
+                           for l in range(1, m)]
+        for k in todo:
+            self._coeffs[m, k] = self._solve_diagonal(m, k, products)
 
-    def _row_products(self, m: int, k: int) -> list[list[int]]:
-        """s(m, l+j) * S(l+j, l) as [l][j], for 0 < l < m and j <= min(k, m-l),
-        kept for row m; called under the lock."""
-        if self._products_row != m:
-            self._products_row = m
-            self._products = [[] for _ in range(m)]
-        products = self._products
-        for l in range(1, m):
-            row = products[l]
-            for j in range(len(row), min(k, m - l) + 1):
-                row.append(stirling_first(m, l + j) * stirling_second(l + j, l))
-        return products
-
-    def _solve_diagonal(self, m: int, k: int) -> int:
+    def _solve_diagonal(self, m: int, k: int, products: list[list[int]]) -> int:
         """C_{m,k} from the Z-polynomial, checked against both coefficients
-        of the grouped defining identity and for sign."""
+        of the grouped defining identity and for sign; ``products`` are row
+        m's s(m, l+j) * S(l+j, l) as [l][j], for every j <= min(k, m-l)."""
         coeff = self._coeff
         c = (sum(stirling_second(m, l) * coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1))
              - sum(stirling_second(m, m - d) * coeff(m - d, k - d) for d in range(1, k + 1)))
         # C_{l,k-j} = 0 for 0 < k-j, 2(k-j) >= l-1: those terms are skipped
-        products = self._row_products(m, k)
         low = -sum(products[l][j] * coeff(l, k - j)
                    for l in range(1, m)
                    for j in range(max(0, k - max(0, (l - 2) // 2)), min(k, m - l) + 1))

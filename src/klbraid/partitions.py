@@ -38,14 +38,6 @@ class IntPartition:
         self.blocks = tuple(bs)
 
     @classmethod
-    def _trusted(cls, blocks: tuple[int, ...]) -> "IntPartition":
-        """A partition of ``blocks``, which must already be a weakly
-        decreasing tuple of positive ints: nothing is sorted or checked."""
-        lam = object.__new__(cls)
-        lam.blocks = blocks
-        return lam
-
-    @classmethod
     def parse(cls, text: str) -> "IntPartition":
         """Parse the plus-separated form, e.g. ``"3+1+1"``."""
         parts = [piece.strip() for piece in text.split("+")]
@@ -88,41 +80,21 @@ def revlex_key(lam: IntPartition):
 
 
 def partitions_of(n: int) -> Iterator[IntPartition]:
-    """All partitions of n, in reverse lexicographic order.
-
-    Zoghbi-Stojmenovic ZS1: x[:m] is the current partition, and x[h-1] its
-    last block above 1.  Each step lowers that block by one and refills the
-    blocks after it with as many copies of the new value as the freed mass
-    allows, then the remainder.
-    """
+    """All partitions of n, in reverse lexicographic order."""
     if n < 1:
         raise ValueError("n must be positive")
-    x = [1] * n
-    x[0] = n
-    m = h = 1
-    trusted = IntPartition._trusted
-    yield trusted((n,))
-    while x[0] != 1:
-        if x[h - 1] == 2:
-            m += 1
-            x[h - 1] = 1
-            h -= 1
-        else:
-            r = x[h - 1] - 1
-            t = m - h + 1
-            x[h - 1] = r
-            while t >= r:
-                x[h] = r
-                h += 1
-                t -= r
-            if t == 0:
-                m = h
-            else:
-                m = h + 1
-                if t > 1:
-                    x[h] = t
-                    h += 1
-        yield trusted(tuple(x[:m]))
+    for blocks in _partitions_within(n, n):
+        yield IntPartition(blocks)
+
+
+def _partitions_within(n: int, top: int) -> Iterator[tuple[int, ...]]:
+    # partitions of n with no block above top, the largest leading block first
+    if n == 0:
+        yield ()
+        return
+    for b in range(min(n, top), 0, -1):
+        for rest in _partitions_within(n - b, b):
+            yield (b,) + rest
 
 
 def multiplicity(lam: IntPartition) -> int:

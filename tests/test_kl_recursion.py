@@ -249,9 +249,9 @@ def test_rows_and_coefficients_share_one_memo(monkeypatch):
     solved = []
     real = KLTable._solve_diagonal
 
-    def counting(self, m, k):
+    def counting(self, m, k, *rest):
         solved.append((m, k))
-        return real(self, m, k)
+        return real(self, m, k, *rest)
 
     monkeypatch.setattr(KLTable, "_solve_diagonal", counting)
     table = KLTable()
@@ -267,9 +267,9 @@ def test_rows_and_coefficients_share_one_memo(monkeypatch):
 
 
 def test_interleaved_coefficients_and_rows_read_no_stale_products():
-    # each call leaves the table's row products at the last row it solved;
-    # the next call must rebuild them for a new row, and extend them when
-    # it needs more of the same row (the two kl_coeff(60, .) calls)
+    # each call forms the row products of every row it fills, and a later
+    # call that needs more of the same row (the two kl_coeff(60, .) calls)
+    # must form them again with the longer reach
     table = KLTable()
     kl_coeff(40, 3, table)
     table.poly(25)
@@ -282,6 +282,35 @@ def test_interleaved_coefficients_and_rows_read_no_stale_products():
     for n in range(1, 61):
         assert [kl_coeff(n, i, table) for i in range(n // 2 + 1)] == [
             fresh.poly(n).coeff(i) for i in range(n // 2 + 1)], n
+
+
+def test_rows_and_coefficients_fill_one_table_concurrently():
+    table = KLTable()
+    out = {}
+
+    def row(n):
+        out[n] = table.poly(n)
+
+    def coefficients(n):
+        out[n] = [kl_coeff(n, i, table) for i in range(n // 2 + 1)]
+
+    threads = [threading.Thread(target=row, args=(n,)) for n in (18, 24, 30)]
+    threads += [threading.Thread(target=coefficients, args=(n,)) for n in (21, 27, 33)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    fresh = KLTable()
+    for n in (18, 24, 30):
+        assert out[n] == fresh.poly(n), n
+    for n in (21, 27, 33):
+        assert out[n] == [fresh.poly(n).coeff(i) for i in range(n // 2 + 1)], n
 
 
 def test_row_fill_reads_each_stirling_product_once(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import product
 
@@ -80,9 +81,17 @@ def test_partitions_order_is_reverse_lex():
     assert got == sorted(got, key=lambda b: revlex_key(IntPartition(b)))
 
 
+def test_partition_order_is_pinned_through_25():
+    # the exact sequences for n = 1..25, digested
+    digest = hashlib.sha256()
+    for n in range(1, 26):
+        digest.update((repr([lam.blocks for lam in partitions_of(n)]) + "\n").encode())
+    assert digest.hexdigest() == "5bbb34ed635047748dc4e88f7e45d2c5336540a2f9e8ca3ceb648a8c3d3f027d"
+
+
 def test_generated_partitions_are_canonical():
-    # partitions_of skips IntPartition's sort and checks, so each partition
-    # it yields must be the one the constructor would build
+    # each partition partitions_of yields is the one the constructor would
+    # build from its blocks, and no partition comes twice
     counts = [1] + [0] * 16
     for b in range(1, 17):
         for n in range(b, 17):
