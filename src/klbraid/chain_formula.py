@@ -22,10 +22,10 @@ blocks at total T to one product of Stirling numbers of both kinds:
 
 So C_{n,i} = sum over l and xi_1 of s(n, alpha_1 + l) * S(alpha_1 + l, l)
 times C_{l,xi_1}, or times 1 when xi_1 = 0, with alpha_1 = n - 1 - i - xi_1
-and 0 <= alpha_1 <= n - l.  For l >= 2, alpha_1 <= n - l and
-xi_1 <= (l - 2)/2 together force l <= 2i.  So l runs to max(1, 2i), and each
-sum makes O(i^2) iterations, one product of two Stirling numbers each.
-The sums are memoized per (n, i) and build no partition and no triple.
+and 0 <= alpha_1 <= n - l: O(i^2) Stirling products, since l <= max(1, 2i).
+That sum is ``kl_recursion.chain_sum``, which also checks each coefficient
+the recursion fills; here it reads C_{l,xi_1} from a memo of its own, per
+(n, i), and builds no partition and no triple.
 
 Triples and per-partition links are kept to list and audit the sum
 (``enumerate_K``, ``term_value``).  A link is computed from its
@@ -41,10 +41,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chains import KLChainTriple, _check_index, enumerate_K, xi_upper_bound
+from .chains import KLChainTriple, check_index, enumerate_K
 from .errors import InternalConsistencyError
+from .kl_recursion import chain_sum
 from .partitions import IntPartition, bounded_compositions, multiplicity
-from .stirling import stirling_first, stirling_second
+from .stirling import stirling_first
 
 
 class FactorBreakdown(NamedTuple):
@@ -113,41 +114,22 @@ def term_value(triple: KLChainTriple) -> TermBreakdown:
 
 
 def _grouped_sum(n: int, i: int) -> int:
-    """C_{n,i} summed over heads grouped by l = length(lam_1), memoized."""
-    key = (n, i)
-    value = _grouped_sums.get(key)
+    """C_{n,i} as the chain sum over the chain memo, memoized."""
+    value = _grouped_sums.get((n, i))
     if value is None:
-        value = 0
-        target = n - 1 - i
-        for l in range(1, max(1, 2 * i) + 1):
-            for xi in range(xi_upper_bound(l) + 1):
-                alpha = target - xi
-                if 0 <= alpha <= n - l:
-                    total = alpha + l
-                    link = stirling_first(n, total) * stirling_second(total, l)
-                    value += link * _grouped_sum(l, xi) if xi else link
-        _grouped_sums[key] = value
+        value = _grouped_sums[n, i] = chain_sum(n, i, lambda l, x: _grouped_sum(l, x) if x else 1)
     return value
 
 
 def kl_coeff_via_chains(n: int, i: int) -> int:
-    """C_{n,i} as the chain sum, collapsed to Stirling numbers of both kinds.
+    """C_{n,i} as the chain sum collapsed to Stirling numbers of both kinds
+    (module docstring): ``kl_recursion.chain_sum`` with each C_{l,xi_1} from
+    the chain memo, O(i^2) Stirling products and no partition.
 
-    Grouping the chain heads by l = length(lam_1), the exponential formula
-    turns the links of every partition of n with l blocks into one product,
-
-        sum over lam |- n, length(lam) = l of link(lam, T) = s(n, T) * S(T, l),
-
-    so C_{n,i} is the sum over l and xi_1 of s(n, alpha_1 + l) *
-    S(alpha_1 + l, l) times C_{l,xi_1} (or times 1 when xi_1 = 0), with
-    alpha_1 = n - 1 - i - xi_1.  Only l <= max(1, 2i) admits a xi_1, so that
-    is O(i^2) Stirling products per coefficient and no partition.
-
-    Same domain as the enumeration: n >= 2, 0 <= i < (n-1)/2.  Degree
-    positions outside that window are not meaningful here (use the recursion,
-    which just reads off a zero coefficient).
+    Same domain as the enumeration, n >= 2 and 0 <= i < (n-1)/2; outside it
+    use the recursion, which just reads off a zero coefficient.
     """
-    _check_index(n, i)
+    check_index(n, i)
     return _grouped_sum(n, i)
 
 

@@ -23,12 +23,12 @@ hits zero.  Note (v) forces every lam_j to have at least one block of size
 The index set is recursive: a triple for (n, i) is a head (lam_1, alpha_1,
 xi_1) allowed by (i), (iii), (v), (vi) and (vii), followed, when xi_1 > 0,
 by a triple for (length(lam_1), xi_1).  ``chain_heads`` walks the heads.
-Those conditions see lam_1 only through its length, so the chain sum in
-``chain_formula`` applies them per length instead, reading (vi) and (vii)
-through ``xi_upper_bound``, and builds no partition or triple.  Triples are
-materialized only for listing (``enumerate_K``, behind the ``chains`` and
-``expand`` commands): each head is joined to the memoized index set for its
-tail, so shared tails are built once.  Output is
+Those conditions see lam_1 only through its length, so the chain sum
+(``kl_recursion.chain_sum``) applies them per length instead, as bounds on
+l and xi_1, and builds no partition or triple.  Triples are materialized
+only for listing (``enumerate_K``, behind the ``chains`` and ``expand``
+commands): each head is joined to the memoized index set for its tail, so
+shared tails are built once.  Output is
 sorted into a canonical order: by chain length q, then by the partition
 chain in reverse lexicographic order, then by A.
 """
@@ -130,7 +130,7 @@ def canonical_key(triple: KLChainTriple):
     )
 
 
-def _check_index(n: int, i: int) -> None:
+def check_index(n: int, i: int) -> None:
     """Reject (n, i) outside the index set's domain n >= 2, 0 <= i < (n - 1)/2."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -193,5 +193,5 @@ def enumerate_K(n: int, i: int) -> Iterator[KLChainTriple]:
     Defined for n >= 2 and 0 <= i < (n - 1)/2 (the coefficient's degree
     window); other arguments are rejected.
     """
-    _check_index(n, i)
+    check_index(n, i)
     return iter(_k_list(n, i))

@@ -9,16 +9,17 @@ the partition lattice of {1..n} once per run for every check that reads it.
 this module.
 
 Not every pair is independent.  The recursion checks each coefficient
-against the chain sum term by term, over the same l, xi and alpha as
-``chain_formula``, so chain = recursion compares two implementations of one
-formula over one Stirling cache.  The recursion is checked independently
-by the partition close of rows n <= ``PARTITION_CHECK_MAX_N``,
-which reads no Stirling number; by the lattice oracle; by the pxy sum,
-which combines second-kind numbers through flag Whitney counts rather than
-the Z-polynomial; and at i = 1 by the degree-one closed forms.  The close
-and ``defining_identity`` compute the one identity two ways, from a
-set-partition recurrence by block count and term by term over integer
-partitions with their multiplicities, so each checks the other.
+against the chain sum, and the chain method runs the same function,
+``kl_recursion.chain_sum``: chain = recursion is one implementation over
+two memos (the table and the chain method's own) and one Stirling cache.
+The recursion is checked independently by the partition close of rows
+n <= ``PARTITION_CHECK_MAX_N``, which reads no Stirling number; by the
+lattice oracle; by the pxy sum, which combines second-kind numbers through
+flag Whitney counts rather than the Z-polynomial; and at i = 1 by the
+degree-one closed forms.  The close and ``defining_identity`` compute the
+one identity two ways, from a set-partition recurrence by block count and
+term by term over integer partitions with their multiplicities, so each
+checks the other.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ from .errors import InternalConsistencyError, OracleBoundError
 DEFAULT_CHAIN_MAX_N = 60
 # The recursion checks each coefficient against the defining identity, which
 # grows both Stirling triangles to row n and costs about n^4 products: a cold
-# `poly 100` took 2.3 s of CPU and 17 MB in a fresh process on a 2-core host,
-# `kl_braid_poly(120)` 5.1 s.
+# `poly 100` took 1.8-2.8 s of CPU and 16 MB in 11 fresh processes on a 2-core
+# host, `kl_braid_poly(120)` 5.1 s.
 RECURSION_MAX_N = 100
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.

@@ -30,7 +30,9 @@ memo fills bottom-up in n.  Its products s(n, l+j) * S(l+j, l) do not
 depend on k, so each is formed once per call that fills row n and shared by
 the entries it solves, and the terms whose C_{l,k-j} is zero are skipped:
 an entry costs O(n*k) multiplications, a row O(n^2) Stirling products, and
-no entry builds a partition or a polynomial product.
+no entry builds a partition or a polynomial product.  The second is the
+chain sum, ``chain_sum``, which the chain method in ``chain_formula`` runs
+too: here it reads C_{l,xi} from the table, there from its own memo.
 
 Those checks read the Stirling cache that the diagonal reads.  Rows
 n <= PARTITION_CHECK_MAX_N are also closed against the same identity,
@@ -52,6 +54,7 @@ where m(lam) counts set partitions of shape lam.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -157,12 +160,7 @@ class KLTable:
         low = -sum(products[l][j] * coeff(l, k - j)
                    for l in range(1, m)
                    for j in range(max(0, k - max(0, (l - 2) // 2)), min(k, m - l) + 1))
-        # the chain form; C_{l,xi} = 0 for l > 2k, where xi >= l-1-k > (l-2)/2
-        high = 0
-        for l in range(1, 2 * k + 1):
-            for xi in range(max(0, l - 1 - k), max(1, l // 2)):
-                total = m - 1 - k - xi + l
-                high += stirling_first(m, total) * stirling_second(total, l) * coeff(l, xi)
+        high = chain_sum(m, k, coeff)
         if not c == low == high:
             raise InternalConsistencyError(
                 f"Z-polynomial diagonal failed the defining identity at n={m}, i={k}: "
@@ -171,6 +169,19 @@ class KLTable:
         if c < 0:
             raise InternalConsistencyError(f"coefficient of t^{k} negative at n={m}: {c}")
         return c
+
+
+def chain_sum(n: int, i: int, coeff: Callable[[int, int], int]) -> int:
+    """C_{n,i} = sum_{l,xi} s(n, a+l) * S(a+l, l) * coeff(l, xi), a = n-1-i-xi,
+    for 0 <= i < (n-1)/2; coeff(l, xi) reads C_{l,xi} and is 1 at xi = 0.
+    A term needs a <= n-l, so xi >= l-1-i, and for l >= 2, C_{l,xi} = 0 past
+    xi = (l-2)/2, so l <= 2i: O(i^2) Stirling products."""
+    value = 0
+    for l in range(1, max(1, 2 * i) + 1):
+        for xi in range(max(0, l - 1 - i), max(1, l // 2)):
+            total = n - 1 - i - xi + l
+            value += stirling_first(n, total) * stirling_second(total, l) * coeff(l, xi)
+    return value
 
 
 _DEFAULT_TABLE = KLTable()

@@ -29,6 +29,13 @@ class IntPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
+    def _unchecked(cls, coeffs: tuple[int, ...]) -> "IntPoly":
+        """Wrap int coefficients that are known to have no trailing zero."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls) -> "IntPoly":
         return cls()
 
@@ -88,11 +95,9 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        # int products are ints, and nonzero leading coefficients stay nonzero
         if isinstance(other, int):
-            # a nonzero scalar leaves every coefficient a nonzero int
-            out = object.__new__(IntPoly)
-            out.coeffs = tuple([c * other for c in self.coeffs]) if other else ()
-            return out
+            return IntPoly._unchecked(tuple([c * other for c in self.coeffs]) if other else ())
         if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -103,7 +108,7 @@ class IntPoly:
                 continue
             for k, b in enumerate(other.coeffs):
                 out[j + k] += a * b
-        return IntPoly(out)
+        return IntPoly._unchecked(tuple(out))
 
     __rmul__ = __mul__
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from klbraid import chain_formula
+from klbraid import chain_formula, kl_recursion
 from klbraid.chain_formula import (
     _link,
     group_values,
@@ -16,7 +16,7 @@ from klbraid.chain_formula import (
 )
 from klbraid.chains import KLChainTriple, chain_heads, enumerate_K
 from klbraid.errors import InternalConsistencyError
-from klbraid.kl_recursion import kl_coeff
+from klbraid.kl_recursion import KLTable, kl_coeff
 from klbraid.partitions import IntPartition, multiplicity, partitions_of
 from klbraid.stirling import stirling_first, stirling_second
 
@@ -155,18 +155,37 @@ def test_chain_sum_walks_no_partition(monkeypatch):
 
 def test_chain_sum_walks_only_heads_that_exist(monkeypatch):
     # a head with l >= 2 needs l <= 2i, so a small i at large n walks a few
-    # l, not all n of them
+    # l, not all n of them; a range shadowed in kl_recursion counts the l and
+    # xi ranges that chain_sum opens, one xi range per l walked
+    expected = kl_coeff(300, 3)
     calls = []
-    real = chain_formula.xi_upper_bound
 
-    def counting(length):
-        calls.append(length)
-        return real(length)
+    def counting(*args):
+        calls.append(args)
+        return range(*args)
 
-    monkeypatch.setattr(chain_formula, "xi_upper_bound", counting)
+    monkeypatch.setattr(kl_recursion, "range", counting, raising=False)
     monkeypatch.setattr(chain_formula, "_grouped_sums", {})
-    assert kl_coeff_via_chains(300, 3) == kl_coeff(300, 3)
-    assert len(calls) < 40
+    assert kl_coeff_via_chains(300, 3) == expected
+    assert 0 < len(calls) < 40
+
+
+def test_recursion_and_chain_method_share_the_chain_sum(monkeypatch):
+    seen = []
+    real = kl_recursion.chain_sum
+
+    def recording(n, i, coeff):
+        seen.append((n, i))
+        return real(n, i, coeff)
+
+    monkeypatch.setattr(kl_recursion, "chain_sum", recording)
+    monkeypatch.setattr(chain_formula, "chain_sum", recording)
+    KLTable().poly(12)
+    assert sorted(seen) == [(m, k) for m in range(4, 13) for k in range(1, (m - 2) // 2 + 1)]
+    seen.clear()
+    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
+    assert kl_coeff_via_chains(12, 4) == kl_coeff(12, 4)
+    assert (12, 4) in seen
 
 
 @pytest.mark.parametrize("n", range(1, 11))
