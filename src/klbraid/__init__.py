@@ -13,7 +13,7 @@ test suite and the ``klb selftest`` command play against each other:
   (`kl_coeff_via_chains`, `enumerate_K`);
 * closed forms in Stirling numbers of the second kind: a two-term
   expression for i = 1 (`kl_c1`) and an alternating sum over flag
-  Whitney numbers (`kl_coeff_via_pxy`);
+  Whitney numbers, summed as a chain (`kl_coeff_via_pxy`);
 * a brute-force oracle that builds the whole partition lattice and runs
   the generic defining recursion on it (`kl_polynomial_generic`,
   `braid_kl_generic`).

@@ -16,10 +16,12 @@ The recursion is checked independently by the partition close of rows
 n <= ``PARTITION_CHECK_MAX_N``, which reads no Stirling number; by the
 lattice oracle; by the pxy sum, which combines second-kind numbers through
 flag Whitney counts rather than the Z-polynomial; and at i = 1 by the
-degree-one closed forms.  The close and ``defining_identity`` compute the
-one identity two ways, from a set-partition recurrence by block count and
-term by term over integer partitions with their multiplicities, so each
-checks the other.
+degree-one closed forms.  pxy is independent in code and formula but not
+in input: it reads only S, as the diagonal does, so pxy = recursion cannot
+catch a corrupted S entry (the close and the coefficient-k check can).  The
+close and ``defining_identity`` compute the one identity two ways, from a
+set-partition recurrence by block count and term by term over integer
+partitions with their multiplicities, so each checks the other.
 """
 
 from __future__ import annotations

@@ -37,11 +37,10 @@ RECURSION_MAX_N = 100
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.
 COROLLARY_MAX_N = 500
-# The pxy sum has 2*3^(i-1) cells, so each i costs about 3x the last: C(23, 10)
-# took 0.35 s of CPU on a 2-core host and C(25, 11) 1.1 s.  It also grows the
-# second-kind Stirling triangle to row n: C(500, 10) took 0.64 s and 42 MB in
-# a fresh process, C(1000, 2) 212 MB.
-PXY_MAX_I = 10
+# The pxy sum grows the second-kind Stirling triangle to row n, and its memo
+# holds O(i^2) entries of O(i) products each.  In fresh processes on a 2-core
+# host, `coeff 500 10 --method pxy` took 0.07-0.10 s of CPU and 39 MB, `coeff
+# 500 249 --method pxy` 13-18 s and 50 MB, and C(1000, 2) 0.26-0.44 s and 210 MB.
 PXY_MAX_N = 500
 # Listing the chain index set holds every triple, and its size grows about 4x
 # with each n at the largest i.  Fresh processes on a 2-core host (Python
@@ -112,9 +111,8 @@ def _refusal(method: str, n: int, i: int, args) -> str | None:
     elif method == "pxy":
         if n < 2 or i < 1 or 2 * i >= n - 1:
             return f"pxy method needs 0 < i < (n-1)/2; got n={n} i={i}"
-        if i > PXY_MAX_I or n > PXY_MAX_N:
-            return (f"pxy method capped at i <= {PXY_MAX_I} and n <= {PXY_MAX_N}: "
-                    "it sums 2*3^(i-1) cells and grows a Stirling triangle to row n")
+        if n > PXY_MAX_N:
+            return f"pxy method capped at n <= {PXY_MAX_N}: it grows a Stirling triangle to row n"
     elif method == "oracle":
         if n > args.oracle_max_n:
             return f"oracle method capped at n <= {args.oracle_max_n}; raise with --oracle-max-n"

@@ -21,24 +21,26 @@ through flag Whitney numbers.  For 1 <= i < (n-1)/2, with N = n - 1,
               sum over 0 = a_0 < a_1 < ... < a_r = i < a_{r+1} = N - i
               of W_I, I = (N - (a[t_j(D)] + a[j-1]) : j = r, ..., 1)
 
-with the skip function t_j(D) = min{k >= j : k not in D}.  Each flag entry
-pairs a[t_j(D)] with the previous index a[j-1], and D runs over all subsets
-of {1..r}: pairing with the following index a[j+1] instead misses the
-recursion at (n, i) = (5, 1), and restricting D to proper subsets misses it
-at (4, 1).  ``pxy_grid_report`` scores the sum against the recursion.
+with the skip function t_j(D) = min{k >= j : k not in D}.
+``pxy_grid_report`` scores the sum against the recursion.
 
-Every flag index in the sum is valid, so ``flag_whitney_product`` is called
-on it directly, and raises ``ValueError`` on one that is not.  The a_k
-strictly increase (a_{r+1} = N - i > i because 2i < N), and t_j(D) >= j is
-nondecreasing in j.  So as j runs r, ..., 1, a[t_j(D)] + a[j-1] strictly
-decreases, from at most (N - i) + (i - 1) to at least a_1 >= 1, and the
-entries strictly increase within [1, N - 1].
+The sum is a chain.  Flag entry j leaves e_j = 1 + a[t_j] + a[j-1] blocks,
+and W_I = S(n, e_r) * prod_{j=2}^{r} S(e_j, e_{j-1}).  Scan j downward with
+the state (x, y) = (a[t_j], a[j-1]): step r starts at x = i, or at x = N - i
+with sign - (r in D); step j - 1 moves y to y' = a[j-2] < y and x to x' = y,
+or keeps x' = x with sign - (j - 1 in D); the scan stops at y = a_0 = 0.  So
+
+    f(x, 0) = 1
+    f(x, y) = sum_{y'<y} [S(1+x+y, 1+y+y') f(y, y') - S(1+x+y, 1+x+y') f(x, y')]
+    C_{n,i} = sum_{y<i} [S(n, 1+i+y) f(i, y) - S(n, n-i+y) f(N-i, y)]
+
+where f(x, y), the signed sum over the steps below state (x, y), depends on
+neither n nor i.  C_{n,i} reads O(i^2) states, each O(i) products.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -90,30 +92,29 @@ def kl_c1(n: int) -> int:
 
 # --- the alternating triple sum ----------------------------------------------
 
+# The memo takes no lock: two threads racing on one key store equal values.
+_transfer: dict[tuple[int, int], int] = {}
+
+
+def _f(x: int, y: int) -> int:
+    return _transfer[x, y] if y else 1
+
+
 def kl_coeff_via_pxy(n: int, i: int) -> int:
-    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2."""
+    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2,
+    as the chain recurrence (module docstring) filled bottom-up in y."""
     if n < 2:
         raise ValueError("need n >= 2")
     if i < 1 or 2 * i >= n - 1:
         raise ValueError(f"coefficient index {i} outside (0, (n-1)/2) for n={n}")
-    N = n - 1
-    total = 0
-    for r in range(1, i + 1):
-        for size in range(r + 1):
-            sign = (-1) ** size
-            for D in combinations(range(1, r + 1), size):
-                # t[j] = t_j(D), the first k >= j outside D (at most r + 1)
-                t = [0]
-                for j in range(1, r + 1):
-                    k = j
-                    while k in D:
-                        k += 1
-                    t.append(k)
-                for middle in combinations(range(1, i), r - 1):
-                    a = (0,) + middle + (i, N - i)
-                    idx = tuple(N - (a[t[j]] + a[j - 1]) for j in range(r, 0, -1))
-                    total += sign * flag_whitney_product(n, idx)
-    return total
+    for y in range(1, i):
+        for x in (*range(y + 1, i), i, n - 1 - i):
+            if (x, y) not in _transfer:
+                _transfer[x, y] = sum(stirling_second(1 + x + y, 1 + y + z) * _f(y, z)
+                                      - stirling_second(1 + x + y, 1 + x + z) * _f(x, z)
+                                      for z in range(y))
+    return sum(stirling_second(n, 1 + i + y) * _f(i, y)
+               - stirling_second(n, n - i + y) * _f(n - 1 - i, y) for y in range(i))
 
 
 class GridResult(NamedTuple):
@@ -132,12 +133,7 @@ def pxy_grid_report(max_n: int = 10, max_i: int = 2) -> dict[str, GridResult]:
     from .kl_recursion import kl_coeff
 
     name = "w-rank-prev"
-    cells = [
-        (n, i)
-        for n in range(2, max_n + 1)
-        for i in range(1, (n - 2) // 2 + 1)
-        if i <= max_i
-    ]
+    cells = [(n, i) for n in range(2, max_n + 1) for i in range(1, min(max_i, (n - 2) // 2) + 1)]
     mism = []
     for n, i in cells:
         got = kl_coeff_via_pxy(n, i)

@@ -137,6 +137,19 @@ def test_degree_one_chain_values_match_closed_form():
         assert kl_coeff_via_chains(n, 1) == 2 ** (n - 1) - 1 - n * (n - 1) // 2
 
 
+def test_chain_sum_vanishes_above_the_degree_bound():
+    # the paper's identities between Stirling numbers of the first and the
+    # second kind: the chain sum is 0 at every i from the degree bound
+    # (n-1)/2 to n-2, here over the chain method's own memo, not the table
+    def coeff(l, xi):
+        return chain_formula._grouped_sum(l, xi) if xi else 1
+
+    cells = [(n, i) for n in range(2, 41) for i in range(n // 2, n - 1)]
+    assert len(cells) == 380
+    for n, i in cells:
+        assert kl_recursion.chain_sum(n, i, coeff) == 0, (n, i)
+
+
 def test_chain_sum_walks_no_partition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the chain sum walked partitions")

@@ -171,7 +171,6 @@ def test_corollary_cap_itself_answers():
 
 @pytest.mark.parametrize("n, i", [
     (cli.PXY_MAX_N + 1, 2),
-    (2 * cli.PXY_MAX_I + 5, cli.PXY_MAX_I + 1),
 ])
 def test_pxy_caps_fail_before_any_work(n, i, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -186,15 +185,14 @@ def test_pxy_caps_themselves_answer():
     n = cli.PXY_MAX_N
     out = run_cli("coeff", str(n), "1", "--method", "pxy").stdout
     assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
-    n, i = 2 * cli.PXY_MAX_I + 3, cli.PXY_MAX_I
-    assert run_cli("coeff", str(n), str(i), "--method", "pxy").stdout == f"{kl_recursion.kl_coeff(n, i)}\n"
+    # i has no cap of its own
+    assert run_cli("coeff", "25", "11", "--method", "pxy").stdout == f"{kl_recursion.kl_coeff(25, 11)}\n"
 
 
 def test_no_pxy_row_above_the_caps(capsys):
-    n, i = 2 * cli.PXY_MAX_I + 5, cli.PXY_MAX_I + 1
-    assert cli.main(["coeff", str(n), str(i), "--all-methods"]) == 0
+    assert cli.main(["coeff", "25", "11", "--all-methods"]) == 0
     rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    assert set(rows) == {"recursion", "chain"}
+    assert set(rows) == {"recursion", "chain", "pxy"}
     assert len(set(rows.values())) == 1
     # above the n cap the recursion refuses first, so ask the method list
     args = cli.build_parser().parse_args(["coeff", "1", "1"])
@@ -202,14 +200,25 @@ def test_no_pxy_row_above_the_caps(capsys):
     assert "pxy" not in cli._applicable_methods(cli.PXY_MAX_N + 1, 2, args)
 
 
+def test_pxy_output_is_frozen(capsys):
+    # sha256 of the stdout of `coeff n i --method pxy` over every valid i <= 10
+    # for 4 <= n <= 30, then at n = 500
+    cells = [(n, i) for n in range(4, 31) for i in range(1, min(10, (n - 2) // 2) + 1)]
+    cells += [(500, i) for i in range(1, 11)]
+    for n, i in cells:
+        assert cli.main(["coeff", str(n), str(i), "--method", "pxy"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "1d3ee81c73ae96588ad72b4b8c6cc6a04ebfe67abef3c4acaa39b6a4e97654ba"
+
+
 # every cell with n <= 40 and i up to just past the middle, which holds the
 # oracle's and the lowered chain cap's edges, plus the edges above 40: the
-# corollary and pxy at n = 500 and 501, pxy at i = 10 and 11 there, and the
-# chain at its default cap of 60 and 61, and the recursion at its cap of 100
-# and 101
+# corollary and pxy at n = 500 and 501, pxy at i = 10 and 11 and at the
+# degree bound there (i = 249 and 250), the chain at its default cap of 60 and
+# 61, and the recursion at its cap of 100 and 101
 _RULE_CELLS = [
     *((n, i) for n in range(1, 41) for i in range(n // 2 + 2)),
-    (500, 1), (501, 1), (500, 2), (501, 2), (500, 10), (500, 11),
+    (500, 1), (501, 1), (500, 2), (501, 2), (500, 10), (500, 11), (500, 249), (500, 250),
     (60, 1), (61, 1), (60, 29), (61, 29), (100, 1), (101, 1),
 ]
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+import sys
+import threading
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from klbraid import whitney2
 from klbraid.chain_formula import kl_coeff_via_chains
-from klbraid.kl_recursion import kl_coeff
+from klbraid.kl_recursion import KLTable, kl_coeff
 from klbraid.lattice_oracle import build_partition_lattice, flag_whitney_bruteforce
 from klbraid.stirling import stirling_second
 from klbraid.whitney2 import (
@@ -75,9 +77,111 @@ def test_kl_c1_degenerate_prefix():
 
 
 def test_pxy_default_reading_matches_recursion():
-    for n in range(4, 11):
+    # whole rows of a fresh table
+    table = KLTable()
+    for n in range(4, 61):
+        row = table.poly(n)
         for i in range(1, (n - 2) // 2 + 1):
-            assert kl_coeff_via_pxy(n, i) == kl_coeff(n, i)
+            assert kl_coeff_via_pxy(n, i) == row.coeff(i), (n, i)
+
+
+def _pxy_by_enumeration(n, i):
+    """The alternating triple sum (``whitney2`` docstring) cell by cell: all
+    2*3^(i-1) (skip set D, composition a) terms, each a flag Whitney product.
+
+    Each flag entry pairs a[t_j(D)] with the previous index a[j-1], and D
+    runs over all subsets of {1..r}: pairing with the following index a[j+1]
+    instead misses the recursion at (n, i) = (5, 1), and restricting D to
+    proper subsets misses it at (4, 1).
+
+    Every flag index in the sum is valid, so ``flag_whitney_product`` is
+    called on it directly, and raises ``ValueError`` on one that is not.  The
+    a_k strictly increase (a_{r+1} = N - i > i because 2i < N), and
+    t_j(D) >= j is nondecreasing in j.  So as j runs r, ..., 1,
+    a[t_j(D)] + a[j-1] strictly decreases, from at most (N - i) + (i - 1) to
+    at least a_1 >= 1, and the entries strictly increase within [1, N - 1].
+    """
+    N = n - 1
+    total = 0
+    for r in range(1, i + 1):
+        for size in range(r + 1):
+            sign = (-1) ** size
+            for D in combinations(range(1, r + 1), size):
+                # t[j] = t_j(D), the first k >= j outside D (at most r + 1)
+                t = [0]
+                for j in range(1, r + 1):
+                    k = j
+                    while k in D:
+                        k += 1
+                    t.append(k)
+                for middle in combinations(range(1, i), r - 1):
+                    a = (0,) + middle + (i, N - i)
+                    idx = tuple(N - (a[t[j]] + a[j - 1]) for j in range(r, 0, -1))
+                    total += sign * flag_whitney_product(n, idx)
+    return total
+
+
+def test_pxy_transfer_matches_the_enumeration():
+    for n in range(4, 24):
+        for i in range(1, min(8, (n - 2) // 2) + 1):
+            assert kl_coeff_via_pxy(n, i) == _pxy_by_enumeration(n, i), (n, i)
+
+
+def test_pxy_reads_few_stirling_numbers(monkeypatch):
+    # the enumeration read 275,562 Stirling numbers for C(500, 10); the
+    # transfer form reads 2 per term of its O(i^3) sums
+    reads = []
+
+    def counted(n, k):
+        reads.append((n, k))
+        return stirling_second(n, k)
+
+    want = kl_coeff_via_chains(500, 10)
+    monkeypatch.setattr(whitney2, "_transfer", {})
+    monkeypatch.setattr(whitney2, "stirling_second", counted)
+    assert kl_coeff_via_pxy(500, 10) == want
+    assert len(reads) < 1000
+
+
+def test_pxy_fills_its_memo_without_recursion(monkeypatch):
+    # a recursive fill nests two frames per level of y
+    want = kl_coeff_via_pxy(120, 59)
+    monkeypatch.setattr(whitney2, "_transfer", {})
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = kl_coeff_via_pxy(120, 59)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def test_pxy_memo_fills_concurrently(monkeypatch):
+    # threads racing on one memo key store equal values, so no lock is needed
+    cells = [(n, i) for n in (30, 41, 52, 63) for i in (6, 9, 12, 14)]
+    want = {cell: kl_coeff_via_pxy(*cell) for cell in cells}
+    monkeypatch.setattr(whitney2, "_transfer", {})
+    got = {}
+
+    def worker(n):
+        for i in (14, 12, 9, 6):
+            got[n, i] = kl_coeff_via_pxy(n, i)
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in (30, 41, 52, 63)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
 
 
 def test_pxy_rejects_out_of_range():
@@ -100,10 +204,11 @@ def test_grid_report_diagnoses_a_wrong_sum(monkeypatch):
 
 
 def test_pxy_matches_recursion_beyond_the_grid():
-    for n in range(11, 14):
-        for i in (1, 2, 3):
-            if 2 * i < n - 1:
-                assert kl_coeff_via_pxy(n, i) == kl_coeff(n, i)
+    # single coefficients, past the whole rows above
+    table = KLTable()
+    for n in range(4, 121):
+        for i in range(1, min(12, (n - 2) // 2) + 1):
+            assert kl_coeff_via_pxy(n, i) == kl_coeff(n, i, table), (n, i)
 
 
 @pytest.mark.parametrize("n", [100, 300, 500])
