@@ -152,11 +152,6 @@ def _factor_text(fb: FactorBreakdown) -> str:
     return head + "(" + " + ".join(pieces) + ")"
 
 
-def term_text(breakdown: TermBreakdown) -> str:
-    """Token rendering of one chain term, links concatenated."""
-    return "".join(_factor_text(fb) for fb in breakdown.factors)
-
-
 class ExpansionGroup(NamedTuple):
     """One top partition's terms, each with its rendered text, and their subtotal."""
 

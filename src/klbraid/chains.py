@@ -27,16 +27,17 @@ Those conditions see lam_1 only through its length, so the chain sum
 (``kl_recursion.chain_sum``) applies them per length instead, as bounds on
 l and xi_1, and builds no partition or triple.  Triples are materialized
 only for listing (``enumerate_K``, behind the ``chains`` and ``expand``
-commands): each head is joined to the memoized index set for its tail, so
-shared tails are built once.  Output is
-sorted into a canonical order: by chain length q, then by the partition
-chain in reverse lexicographic order, then by A.
+commands): each head is joined to the index set for its tail.  Tails are
+memoized for the call, so shared tails are built once and nothing is kept
+once the listing is returned.  Output is sorted into a canonical order: by
+chain length q, then by the partition chain in reverse lexicographic order,
+then by A.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
+from functools import cache
 from typing import NamedTuple
 
 from .partitions import IntPartition, partitions_of
@@ -155,38 +156,6 @@ def chain_heads(n: int, i: int) -> Iterator[tuple[IntPartition, int, int]]:
                 yield lam1, alpha1, xi1
 
 
-_memo: dict[tuple[int, int], tuple[KLChainTriple, ...]] = {}
-_memo_lock = threading.RLock()
-
-
-def _k_list(n: int, i: int) -> tuple[KLChainTriple, ...]:
-    key = (n, i)
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    with _memo_lock:
-        got = _memo.get(key)
-        if got is not None:
-            return got
-        out = []
-        for lam1, alpha1, xi1 in chain_heads(n, i):
-            if xi1 == 0:
-                out.append(KLChainTriple((lam1,), (alpha1,), (0,)))
-            else:
-                for tail in _k_list(lam1.length, xi1):
-                    out.append(
-                        KLChainTriple(
-                            (lam1,) + tail.Lambda,
-                            (alpha1,) + tail.A,
-                            (xi1,) + tail.Xi,
-                        )
-                    )
-        out.sort(key=canonical_key)
-        result = tuple(out)
-        _memo[key] = result
-        return result
-
-
 def enumerate_K(n: int, i: int) -> Iterator[KLChainTriple]:
     """All chain triples for (n, i), in canonical order.
 
@@ -194,4 +163,20 @@ def enumerate_K(n: int, i: int) -> Iterator[KLChainTriple]:
     window); other arguments are rejected.
     """
     check_index(n, i)
-    return iter(_k_list(n, i))
+
+    @cache
+    def listing(n: int, i: int) -> list[KLChainTriple]:
+        out = []
+        for lam1, alpha1, xi1 in chain_heads(n, i):
+            if xi1 == 0:
+                out.append(KLChainTriple((lam1,), (alpha1,), (0,)))
+            else:
+                out.extend(KLChainTriple((lam1,) + t.Lambda, (alpha1,) + t.A, (xi1,) + t.Xi)
+                           for t in listing(lam1.length, xi1))
+        out.sort(key=canonical_key)
+        return out
+
+    triples = listing(n, i)
+    # the closure refers to itself, a cycle: free its tails now, not at a gc
+    listing.cache_clear()
+    return iter(triples)

@@ -32,7 +32,7 @@ from itertools import combinations_with_replacement
 from math import factorial, perm
 
 from . import chain_formula, chains, kl_recursion, lattice_oracle, partitions, stirling, whitney2
-from .cli import _coeff_index_count, _method_values
+from .cli import DEFAULT_GENERIC_KL_BOUND, _coeff_index_count, _method_values
 
 
 def check_base_case(args, lattice):
@@ -124,7 +124,7 @@ def check_method_grid(args, lattice):
 
 
 def check_generic_oracle(args, lattice):
-    top = min(args.oracle_max_n, lattice_oracle.DEFAULT_GENERIC_KL_BOUND)
+    top = min(args.oracle_max_n, DEFAULT_GENERIC_KL_BOUND)
     for n in range(2, top + 1):
         if lattice_oracle.kl_polynomial_generic(lattice(n)) != kl_recursion.kl_braid_poly(n):
             return False, f"lattice recursion off at n={n}"

@@ -51,9 +51,10 @@ CHAINS_MAX_N = 15
 EXPAND_MAX_N = 14
 DEFAULT_SELFTEST_MAX_N = 8
 DEFAULT_SELFTEST_ORACLE_MAX_N = 6
-# Copies of lattice_oracle.DEFAULT_GENERIC_KL_BOUND and DEFAULT_LATTICE_BOUND,
-# so that building the parser imports no method module; tests/test_cli.py
-# pins each copy to its source.
+# DEFAULT_GENERIC_KL_BOUND is the oracle's default bound: `--oracle-max-n`'s
+# default, the `coeff` warning threshold and the top of selftest's generic
+# check.  DEFAULT_LATTICE_BOUND copies lattice_oracle's cap, so that building
+# the parser imports no method module; tests/test_cli.py pins it to its source.
 DEFAULT_GENERIC_KL_BOUND = 7
 DEFAULT_LATTICE_BOUND = 9
 

@@ -102,9 +102,7 @@ class KLTable:
         if n < 1:
             raise ValueError("n must be positive")
         if n < len(self._polys):
-            p = self._polys[n]
-            if p is not None:
-                return p
+            return self._polys[n]
         with self._lock:
             while len(self._polys) <= n:
                 self._polys.append(self._solve(len(self._polys)))

@@ -25,7 +25,8 @@ lattice, elements^2 mask operations and a solve per element when every
 value is distinct.
 
 Scale: partition lattices up to ``DEFAULT_LATTICE_BOUND`` (Bell(9) = 21147
-elements); the generic recursion is capped lower.
+elements); the generic recursion is capped lower by the CLI's default,
+``cli.DEFAULT_GENERIC_KL_BOUND``.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from functools import cached_property
 from itertools import combinations, zip_longest
 
 from .errors import InternalConsistencyError, OracleBoundError
-from .partitions import _set_partitions_unchecked
+from .partitions import set_partitions_of
 from .polynomial import IntPoly
 
 DEFAULT_LATTICE_BOUND = 9
-DEFAULT_GENERIC_KL_BOUND = 7
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -162,7 +162,7 @@ def build_partition_lattice(n: int) -> RankedLattice:
         raise ValueError("partition lattice needs n >= 2")
     if n > DEFAULT_LATTICE_BOUND:
         raise OracleBoundError(f"partition lattice capped at n <= {DEFAULT_LATTICE_BOUND}, got {n}")
-    elements = sorted(_set_partitions_unchecked(n), key=lambda p: (n - len(p), p))
+    elements = sorted(set_partitions_of(n), key=lambda p: (n - len(p), p))
     width = (len(elements) + 7) >> 3
     together = {pair: bytearray(width) for pair in combinations(range(1, n + 1), 2)}
     pair_bufs: dict[tuple[int, ...], list[bytearray]] = {}  # block -> its pairs' buffers

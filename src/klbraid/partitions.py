@@ -37,16 +37,6 @@ class IntPartition:
             raise ValueError(f"blocks must be positive ints: {blocks!r}")
         self.blocks = tuple(bs)
 
-    @classmethod
-    def parse(cls, text: str) -> "IntPartition":
-        """Parse the plus-separated form, e.g. ``"3+1+1"``."""
-        parts = [piece.strip() for piece in text.split("+")]
-        try:
-            blocks = [int(piece) for piece in parts]
-        except ValueError:
-            raise ValueError(f"cannot parse partition {text!r}") from None
-        return cls(blocks)
-
     @property
     def size(self) -> int:
         return sum(self.blocks)
@@ -71,12 +61,6 @@ class IntPartition:
 
     def to_json_obj(self) -> list[int]:
         return list(self.blocks)
-
-
-def revlex_key(lam: IntPartition):
-    """Sort key putting partitions of equal size in reverse lexicographic order,
-    i.e. [n] first and the all-ones partition last."""
-    return tuple(-b for b in lam.blocks)
 
 
 def partitions_of(n: int) -> Iterator[IntPartition]:
@@ -160,17 +144,17 @@ def _set_partitions_unchecked(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield p + ((n,),)
 
 
-def set_partitions_of(
-    n: int, bound: int = DEFAULT_SET_PARTITION_BOUND
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def set_partitions_of(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All set partitions of {1, ..., n} in a fixed deterministic order.
 
-    Brute-force enumeration (Bell(n) items), so n is capped by ``bound``.
+    Brute-force enumeration (Bell(n) items), so n is capped by
+    ``DEFAULT_SET_PARTITION_BOUND``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > bound:
-        raise OracleBoundError(f"set partition enumeration capped at n <= {bound}, got {n}")
+    if n > DEFAULT_SET_PARTITION_BOUND:
+        raise OracleBoundError("set partition enumeration capped at "
+                               f"n <= {DEFAULT_SET_PARTITION_BOUND}, got {n}")
     return _set_partitions_unchecked(n)
 
 

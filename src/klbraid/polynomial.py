@@ -36,10 +36,6 @@ class IntPoly:
         return out
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
 
@@ -140,7 +136,7 @@ class IntPoly:
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
 
-    def render(self, var: str = "t", descending: bool = False) -> str:
+    def render(self, descending: bool = False) -> str:
         """Human-readable form, e.g. ``1 + 16t + 15t^2``."""
         if self.is_zero:
             return "0"
@@ -154,9 +150,9 @@ class IntPoly:
             if k == 0:
                 body = str(mag)
             elif k == 1:
-                body = var if mag == 1 else f"{mag}{var}"
+                body = "t" if mag == 1 else f"{mag}t"
             else:
-                body = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
+                body = f"t^{k}" if mag == 1 else f"{mag}t^{k}"
             terms.append((c < 0, body))
         first_neg, first_body = terms[0]
         out = ("-" if first_neg else "") + first_body
@@ -167,7 +163,3 @@ class IntPoly:
     def to_json_obj(self) -> list[str]:
         """Ascending coefficients as decimal strings (ints never cross float)."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[str]) -> "IntPoly":
-        return cls(int(s) for s in obj)

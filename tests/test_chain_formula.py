@@ -11,7 +11,6 @@ from klbraid.chain_formula import (
     group_values,
     kl_coeff_via_chains,
     symbolic_expansion,
-    term_text,
     term_value,
 )
 from klbraid.chains import KLChainTriple, chain_heads, enumerate_K
@@ -328,12 +327,12 @@ def test_symbolic_expansion_shape():
     for g in exp.groups:
         assert g.value == sum(bd.value for bd, _ in g.terms)
         for bd, text in g.terms:
-            assert term_text(bd) == text
+            assert "".join(chain_formula._factor_text(fb) for fb in bd.factors) == text
 
 
 def test_expansion_term_texts():
     exp = symbolic_expansion(4, 1)
-    texts = [term_text(bd) for g in exp.groups for bd, _ in g.terms]
+    texts = [text for g in exp.groups for _, text in g.terms]
     assert texts == [
         "m(4)s(4,3)",
         "m(3+1)s(3,3)s(1,1)",
@@ -346,7 +345,7 @@ def test_expansion_merges_composition_sums():
     # parenthesized sum rather than separate terms
     exp = symbolic_expansion(6, 2)
     by_shape = {g.lambda1.blocks: g for g in exp.groups}
-    texts = [term_text(bd) for bd, _ in by_shape[(4, 2)].terms]
+    texts = [text for _, text in by_shape[(4, 2)].terms]
     assert texts == ["m(4+2)(s(4,3)s(2,2) + s(4,4)s(2,1))"]
 
 

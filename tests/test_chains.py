@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from klbraid.chains import (
@@ -15,7 +20,9 @@ from klbraid.partitions import IntPartition
 
 def triple(lams, alphas, xis):
     return KLChainTriple(
-        tuple(IntPartition.parse(s) for s in lams), tuple(alphas), tuple(xis)
+        tuple(IntPartition(int(b) for b in s.split("+")) for s in lams),
+        tuple(alphas),
+        tuple(xis),
     )
 
 
@@ -146,3 +153,62 @@ def test_xi_closed_form_matches_every_position():
                     parities.add((t.q - j) % 2)
     # both signs of the parity correction are exercised
     assert parities == {0, 1}
+
+
+def test_every_index_set_is_pinned_through_13():
+    # the listing of every (n, i) with n <= 13, digested
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 14):
+        for i in range((n - 2) // 2 + 1):
+            objs = [t.to_json_obj() for t in enumerate_K(n, i)]
+            count += len(objs)
+            digest.update((repr(objs) + "\n").encode())
+    assert count == 8732
+    assert digest.hexdigest() == "0b3d2eeb1f6c211548dcce495050f10beb5cda2c8b856335690f9f107902259e"
+
+
+def test_listing_keeps_nothing_once_dropped():
+    # tails are memoized for one call only: a dropped listing of (13, 5),
+    # about 0.9 MB with its tails, leaves nothing behind.  A fresh
+    # interpreter, so that no listing made by another test is in memory.
+    code = (
+        "import gc, tracemalloc\n"
+        "from klbraid.chains import enumerate_K\n"
+        "list(enumerate_K(12, 4))\n"
+        "gc.collect()\n"
+        "tracemalloc.start()\n"
+        "before = tracemalloc.get_traced_memory()[0]\n"
+        "list(enumerate_K(13, 5))\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] - before)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024
+
+
+def test_concurrent_listings_match_a_single_thread():
+    # each call builds its own memo; listings racing with a short switch
+    # interval must still come out whole and in order
+    want = {key: list(enumerate_K(*key)) for key in [(13, 5), (12, 4)]}
+    got = {}
+
+    def worker(k):
+        key = (13, 5) if k % 2 else (12, 4)
+        got[k] = (key, list(enumerate_K(*key)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 6
+    for key, listing in got.values():
+        assert listing == want[key]

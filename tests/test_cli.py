@@ -231,7 +231,7 @@ def test_method_list_matches_single_method_answers(bounds, monkeypatch, capsys):
     monkeypatch.setattr(chain_formula, "kl_coeff_via_chains", lambda n, i: 0)
     monkeypatch.setattr(whitney2, "kl_c1", lambda n: 0)
     monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i: 0)
-    monkeypatch.setattr(lattice_oracle, "braid_kl_generic", lambda n: IntPoly.zero())
+    monkeypatch.setattr(lattice_oracle, "braid_kl_generic", lambda n: IntPoly())
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     for n, i in _RULE_CELLS:
@@ -405,7 +405,6 @@ def test_removed_reading_choice_is_a_usage_error(argv):
 
 def test_parser_constants_match_their_sources():
     # the parser reads copies so that building it imports no method module
-    assert cli.DEFAULT_GENERIC_KL_BOUND == lattice_oracle.DEFAULT_GENERIC_KL_BOUND
     assert cli.DEFAULT_LATTICE_BOUND == lattice_oracle.DEFAULT_LATTICE_BOUND
 
 

@@ -195,7 +195,7 @@ def test_defining_identity_holds(n):
 
 def test_identity_summands_recombine_to_rhs():
     rep = verify_defining_identity(5)
-    total = IntPoly.zero()
+    total = IntPoly()
     for _, poly in rep.summands:
         total = total + poly
     assert total == rep.rhs
