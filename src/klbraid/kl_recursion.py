@@ -18,21 +18,22 @@ fills the rest of row m and returns P_m.  Palindromicity gives exactly as
 many equations as unknowns, so it checks nothing by itself.  Each new value
 must therefore also satisfy coefficients k and n-1-k of the defining
 identity, grouped by block count: by the exponential formula the flats with
-l blocks sum to B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, so
+l blocks sum to B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, and the
+terms with l+j = r sum to s(n, r) * Z_r(t), so
 
-    0 = C_{n,k} + sum_{l<n} sum_{j<=k} s(n, l+j) * S(l+j, l) * C_{l,k-j},
+    0 = C_{n,k} + R_{n,k} + sum_{r=k+1}^{n-1} s(n, r) * [t^k]Z_r,
     C_{n,k} = sum_{l<n} sum_xi s(n, a+l) * S(a+l, l) * C_{l,xi},  a = n-1-k-xi,
 
-and be nonnegative, as every coefficient of a matroid's Kazhdan-Lusztig
-polynomial is (Braden-Huh-Matherne-Proudfoot-Wang).  None of these checks
-is optional.  The first reads every C_{l,j} with l < n and j <= k, so the
-memo fills bottom-up in n.  Its products s(n, l+j) * S(l+j, l) do not
-depend on k, so each is formed once per call that fills row n and shared by
-the entries it solves, and the terms whose C_{l,k-j} is zero are skipped:
-an entry costs O(n*k) multiplications, a row O(n^2) Stirling products, and
-no entry builds a partition or a polynomial product.  The second is the
-chain sum, ``chain_sum``, which the chain method in ``chain_formula`` runs
-too: here it reads C_{l,xi} from the table, there from its own memo.
+where R_{n,k} is the diagonal's second sum above (Z_r has degree r-1, so
+r <= k adds nothing), and be nonnegative, as every coefficient of a
+matroid's Kazhdan-Lusztig polynomial is (Braden-Huh-Matherne-Proudfoot-Wang).
+None of these checks is optional.  The first reads a per-table memo of
+[t^k]Z_r = sum_{d<=k} S(r, r-d) * C_{r-d,k-d}, each entry formed once from
+that definition, so the memo fills bottom-up in n and an entry costs O(n)
+multiplications, with no partition or polynomial product.  The second is
+the chain sum, ``chain_sum``, O(k^2) Stirling products per entry and so
+O(n^4) per table; the chain method in ``chain_formula`` runs it too, reading
+C_{l,xi} from its own memo instead of the table.
 
 Those checks read the Stirling cache that the diagonal reads.  Rows
 n <= PARTITION_CHECK_MAX_N are also closed against the same identity,
@@ -80,6 +81,8 @@ class KLTable:
         self._polys: list[IntPoly | None] = [None, IntPoly.one()]
         # C_{m,k} for 0 < k < (m-1)/2
         self._coeffs: dict[tuple[int, int], int] = {}
+        # [t^k]Z_r for the (r, k) the coefficient-k check has read
+        self._z: dict[tuple[int, int], int] = {}
         # chi_lam keyed by lam's blocks > 1, in decreasing order
         self._chi: dict[tuple[int, ...], IntPoly] = {(): IntPoly.one()}
         # B_{m,l} as _block_rows[m][l], for the rows m <= PARTITION_CHECK_MAX_N
@@ -137,27 +140,22 @@ class KLTable:
     def _fill_row(self, m: int, top: int) -> None:
         """Memoize C_{m,k} for 0 < k <= top; needs every C_{l,j} with l < m
         and j <= top."""
-        todo = [k for k in range(1, min(top, (m - 2) // 2) + 1) if (m, k) not in self._coeffs]
-        if not todo:
-            return
-        # s(m, l+j) * S(l+j, l) as products[l][j]; products[0] is never read
-        products = [[]] + [[stirling_first(m, l + j) * stirling_second(l + j, l)
-                            for j in range(min(todo[-1], m - l) + 1)]
-                           for l in range(1, m)]
-        for k in todo:
-            self._coeffs[m, k] = self._solve_diagonal(m, k, products)
+        for k in range(1, min(top, (m - 2) // 2) + 1):
+            if (m, k) not in self._coeffs:
+                self._coeffs[m, k] = self._solve_diagonal(m, k)
 
-    def _solve_diagonal(self, m: int, k: int, products: list[list[int]]) -> int:
+    def _solve_diagonal(self, m: int, k: int) -> int:
         """C_{m,k} from the Z-polynomial, checked against both coefficients
-        of the grouped defining identity and for sign; ``products`` are row
-        m's s(m, l+j) * S(l+j, l) as [l][j], for every j <= min(k, m-l)."""
+        of the grouped defining identity and for sign; the coefficient-k
+        check reads s(m, r) and the memo's [t^k]Z_r for k < r < m."""
         coeff = self._coeff
-        c = (sum(stirling_second(m, l) * coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1))
-             - sum(stirling_second(m, m - d) * coeff(m - d, k - d) for d in range(1, k + 1)))
-        # C_{l,k-j} = 0 for 0 < k-j, 2(k-j) >= l-1: those terms are skipped
-        low = -sum(products[l][j] * coeff(l, k - j)
-                   for l in range(1, m)
-                   for j in range(max(0, k - max(0, (l - 2) // 2)), min(k, m - l) + 1))
+        rest = sum(stirling_second(m, m - d) * coeff(m - d, k - d) for d in range(1, k + 1))
+        c = sum(stirling_second(m, l) * coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1)) - rest
+        z = self._z
+        for r in range(k + 1, m):
+            if (r, k) not in z:
+                z[r, k] = sum(stirling_second(r, r - d) * coeff(r - d, k - d) for d in range(k + 1))
+        low = -rest - sum(stirling_first(m, r) * z[r, k] for r in range(k + 1, m))
         high = chain_sum(m, k, coeff)
         if not c == low == high:
             raise InternalConsistencyError(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -245,6 +246,18 @@ def test_cold_diagonal_equals_the_fill(cold):
     assert len(kl_recursion._DEFAULT_TABLE._polys) == 2
 
 
+def test_single_coefficients_equal_whole_rows_to_100():
+    # the coefficients fill Z entries for k <= 12 only; the rows filled
+    # afterwards on the same table read those entries and add the rest
+    table = KLTable()
+    fresh = KLTable()
+    for i in range(13):
+        for n in range(1, 101):
+            assert kl_coeff(n, i, table) == fresh.poly(n).coeff(i), (n, i)
+    assert len(table._polys) == 2
+    assert [table.poly(n) for n in range(1, 101)] == [fresh.poly(n) for n in range(1, 101)]
+
+
 def test_rows_and_coefficients_share_one_memo(monkeypatch):
     solved = []
     real = KLTable._solve_diagonal
@@ -267,9 +280,9 @@ def test_rows_and_coefficients_share_one_memo(monkeypatch):
 
 
 def test_interleaved_coefficients_and_rows_read_no_stale_products():
-    # each call forms the row products of every row it fills, and a later
-    # call that needs more of the same row (the two kl_coeff(60, .) calls)
-    # must form them again with the longer reach
+    # the memo is now the Z memo: it holds [t^k]Z_r only for the k that
+    # earlier calls read, and a later call that needs more of the same rows
+    # (the two kl_coeff(60, .) calls) must add entries for its larger k
     table = KLTable()
     kl_coeff(40, 3, table)
     table.poly(25)
@@ -314,8 +327,9 @@ def test_rows_and_coefficients_fill_one_table_concurrently():
 
 
 def test_row_fill_reads_each_stirling_product_once(monkeypatch):
-    # a cold row fill to 30 reads 17,958 Stirling numbers; one read of
-    # s(m, l+j) * S(l+j, l) per entry k instead of per row reads 57,582
+    # a cold row fill to 30 reads 16,093 Stirling numbers, each [t^k]Z_r
+    # formed once per table; one read of s(m, l+j) * S(l+j, l) per entry k
+    # instead reads 57,582
     reads = [0]
 
     def counted(real):
@@ -396,3 +410,78 @@ def test_concurrent_diagonal_is_consistent(cold):
     fill = KLTable()
     for n, row in out.items():
         assert row == [fill.poly(n).coeff(i) for i in range(n // 2)]
+
+
+# --- which check refuses which fault ----------------------------------------
+
+# the fill runs to FAULT_TOP with every check; a fault is one entry raised by 1
+FAULT_TOP = 50
+
+
+def _first_refusal(fill):
+    """(row, checks) for the first refusal ``fill()`` raises, or None.  A
+    diagonal refusal prints c, low and high, so its checks are read from the
+    values: "low" when c != low, "high" when c != high."""
+    try:
+        fill()
+    except InternalConsistencyError as err:
+        text = str(err)
+    else:
+        return None
+    row = int(re.search(r"at n=(\d+)", text)[1])
+    if "defining identity at" in text:
+        c, low, high = map(int, text.rsplit(": ", 1)[1].split(", "))
+        return row, tuple(name for name, value in (("low", low), ("high", high)) if value != c)
+    if "negative" in text:
+        return row, ("sign",)
+    assert "failed to close" in text, text
+    return row, ("close",)
+
+
+# Keyed by the entry raised: S(n, k), s(n, k), C(n, k) right after row n is
+# filled (so P_n carries it too), or chi_b.  The close refuses P_12 itself;
+# above its reach, row 31's coefficient-k check is the first to read C(30, 5).
+# Only the close of rows n <= PARTITION_CHECK_MAX_N reads chi_b, so no check
+# reads chi_25.
+FAULT_MATRIX = {
+    ("S", 9, 2): (9, ("low",)),
+    ("S", 12, 6): (12, ("low",)),
+    ("S", 30, 25): (30, ("high",)),
+    ("S", 40, 3): (40, ("low",)),
+    ("s", 9, 4): (9, ("low",)),
+    ("s", 25, 7): (25, ("low",)),
+    ("s", 33, 30): (33, ("low",)),
+    ("s", 45, 2): (45, ("low",)),
+    ("C", 12, 3): (12, ("close",)),
+    ("C", 30, 5): (31, ("low",)),
+    ("chi", 5): (5, ("close",)),
+    ("chi", 25): None,
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULT_MATRIX), ids=lambda f: "-".join(map(str, f)))
+def test_fault_matrix(monkeypatch, fault):
+    # one wrong entry of S, s, the coefficient memo or the chi memo, below
+    # and above the partition close's reach; both Stirling triangles are
+    # grown to FAULT_TOP before an entry is raised, so no row grows from it
+    cache = _fresh_stirling_cache(monkeypatch)
+    cache.first(FAULT_TOP, 0)
+    cache.second(FAULT_TOP, 0)
+    table = KLTable()
+    kind, row, *col = fault
+    if kind == "S":
+        cache._second[row][col[0]] += 1
+    elif kind == "s":
+        cache._first[row][col[0]] += 1
+    elif kind == "C":
+        real = KLTable._fill_row
+
+        def fill_then_corrupt(self, m, top):
+            real(self, m, top)
+            if m == row:
+                self._coeffs[row, col[0]] += 1
+
+        monkeypatch.setattr(KLTable, "_fill_row", fill_then_corrupt)
+    else:
+        table._chi[row,] = partition_char_poly(row) + IntPoly.one()
+    assert _first_refusal(lambda: table.poly(FAULT_TOP)) == FAULT_MATRIX[fault]
