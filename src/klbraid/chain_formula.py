@@ -27,14 +27,13 @@ That sum is ``kl_recursion.chain_sum``, which also checks each coefficient
 the recursion fills; here it reads C_{l,xi_1} from a memo of its own, per
 (n, i), and builds no partition and no triple.
 
-Triples and per-partition links are kept to list and audit the sum
-(``enumerate_K``, ``term_value``).  A link is computed from its
-compositions: each bounded composition of the total with its Stirling
-product, so the value and the rendered sum come from the same list.
-
-``symbolic_expansion`` renders the same sum grouped by the top partition
+Triples are built only to list the sum (``enumerate_K``) and to render it
+term by term.  ``symbolic_expansion`` groups the terms by the top partition
 lam_1, in the shape of a worked table: ``m(3+1)s(3,3)s(1,1)`` style tokens,
 with parenthesized multi-composition sums, plus exact per-group subtotals.
+A term's value and text are the product and the concatenation of its links,
+and ``_link`` computes a link's value and its text in one pass over its
+bounded compositions, so the number printed is the sum shown.
 """
 
 from __future__ import annotations
@@ -48,69 +47,8 @@ from .partitions import IntPartition, bounded_compositions, multiplicity
 from .stirling import stirling_first
 
 
-class FactorBreakdown(NamedTuple):
-    """One link of a chain term: each composition with its Stirling product."""
-
-    lam: IntPartition
-    m_value: int
-    total: int
-    compositions: tuple[tuple[tuple[int, ...], int], ...]
-    inner_sum: int
-
-
-class TermBreakdown(NamedTuple):
-    """A chain term's value, with the breakdown of each of its links."""
-
-    triple: KLChainTriple
-    factors: tuple[FactorBreakdown, ...]
-    value: int
-
-
 # The memo takes no lock: two threads racing on one key store equal values.
 _grouped_sums: dict[tuple[int, int], int] = {}
-
-
-def _link(lam: IntPartition, total: int) -> FactorBreakdown:
-    """The link of lam at ``total``: m(lam), and each bounded composition of
-    ``total`` with its signed Stirling product.
-
-    A total outside [length(lam), size(lam)] has no composition: that is a
-    degenerate (invalid) link and raises on every call.
-    """
-    if not lam.length <= total <= lam.size:
-        raise InternalConsistencyError(
-            f"degenerate link {lam} with total {total}: no compositions"
-        )
-    comps = []
-    for comp in bounded_compositions(lam, total):
-        prod = 1
-        for b, d in zip(lam.blocks, comp):
-            prod *= stirling_first(b, d)
-        comps.append((comp, prod))
-    return FactorBreakdown(
-        lam=lam,
-        m_value=multiplicity(lam),
-        total=total,
-        compositions=tuple(comps),
-        inner_sum=sum(prod for _, prod in comps),
-    )
-
-
-def _term(triple: KLChainTriple, factors: tuple[FactorBreakdown, ...]) -> TermBreakdown:
-    value = 1
-    for fb in factors:
-        value *= fb.m_value * fb.inner_sum
-    return TermBreakdown(triple=triple, factors=factors, value=value)
-
-
-def term_value(triple: KLChainTriple) -> TermBreakdown:
-    """Evaluate one chain term exactly, as the product of its link values.
-
-    A link with no composition is a degenerate (invalid) triple and raises.
-    """
-    return _term(triple, tuple(
-        _link(lam, alpha + lam.length) for lam, alpha in zip(triple.Lambda, triple.A)
-    ))
 
 
 def _grouped_sum(n: int, i: int) -> int:
@@ -135,28 +73,42 @@ def kl_coeff_via_chains(n: int, i: int) -> int:
 
 # --- worked-table rendering -------------------------------------------------
 
-def _stirling_tokens(lam: IntPartition, comp: tuple[int, ...]) -> str:
-    return "".join(f"s({b},{d})" for b, d in zip(lam.blocks, comp))
+def _link(lam: IntPartition, total: int) -> tuple[int, str]:
+    """The link of lam at ``total`` and its text: m(lam) times the sum, over
+    the bounded compositions (d_1..d_l) of ``total``, of prod s(b_k, d_k).
+
+    A total outside [length(lam), size(lam)] has no composition: that is a
+    degenerate (invalid) link and raises on every call.
+    """
+    if not lam.length <= total <= lam.size:
+        raise InternalConsistencyError(
+            f"degenerate link {lam} with total {total}: no compositions"
+        )
+    value = 0
+    products = []
+    for comp in bounded_compositions(lam, total):
+        prod = 1
+        for b, d in zip(lam.blocks, comp):
+            prod *= stirling_first(b, d)
+        value += prod
+        products.append("".join(f"s({b},{d})" for b, d in zip(lam.blocks, comp)))
+    text = products[0] if len(products) == 1 else "(" + " + ".join(products) + ")"
+    return multiplicity(lam) * value, f"m({lam}){text}"
 
 
-def _factor_text(fb: FactorBreakdown) -> str:
-    head = f"m({fb.lam})"
-    rendered = [_stirling_tokens(fb.lam, comp) for comp, _ in fb.compositions]
-    if len(rendered) == 1:
-        return head + rendered[0]
-    # collapse repeated products, keeping first-appearance order
-    counts: dict[str, int] = {}
-    for r in rendered:
-        counts[r] = counts.get(r, 0) + 1
-    pieces = [(f"{c} {r}" if c > 1 else r) for r, c in counts.items()]
-    return head + "(" + " + ".join(pieces) + ")"
+class ExpansionTerm(NamedTuple):
+    """One chain triple's term: the product of its links, rendered and evaluated."""
+
+    triple: KLChainTriple
+    text: str
+    value: int
 
 
 class ExpansionGroup(NamedTuple):
-    """One top partition's terms, each with its rendered text, and their subtotal."""
+    """One top partition's terms and their subtotal."""
 
     lambda1: IntPartition
-    terms: tuple[tuple[TermBreakdown, str], ...]
+    terms: tuple[ExpansionTerm, ...]
     value: int
 
 
@@ -170,10 +122,10 @@ class SymbolicExpansion(NamedTuple):
         out = []
         for g in self.groups:
             terms = []
-            for tb, text in g.terms:
-                obj = tb.triple.to_json_obj()
-                obj["text"] = text
-                obj["value"] = str(tb.value)
+            for t in g.terms:
+                obj = t.triple.to_json_obj()
+                obj["text"] = t.text
+                obj["value"] = str(t.value)
                 terms.append(obj)
             out.append(
                 {
@@ -189,9 +141,9 @@ class SymbolicExpansion(NamedTuple):
         width = max(len(str(g.lambda1)) for g in self.groups)
         for g in self.groups:
             first = True
-            for tb, text in g.terms:
+            for t in g.terms:
                 label = str(g.lambda1) if first else ""
-                lines.append(f"  {label:<{width}}  {text} = {tb.value}")
+                lines.append(f"  {label:<{width}}  {t.text} = {t.value}")
                 first = False
             if len(g.terms) > 1:
                 lines.append(f"  {'':<{width}}  group value = {g.value}")
@@ -203,24 +155,21 @@ def symbolic_expansion(n: int, i: int) -> SymbolicExpansion:
     """The full audited sum for (n, i), grouped by lam_1 in canonical order."""
     # most links recur across triples (702 distinct of 35,244 at (14, 6)), so
     # each (blocks, total) is evaluated and rendered once per call
-    links: dict[tuple[tuple[int, ...], int], tuple[FactorBreakdown, str]] = {}
-
-    def link(lam: IntPartition, alpha: int) -> tuple[FactorBreakdown, str]:
-        key = (lam.blocks, alpha + lam.length)
-        entry = links.get(key)
-        if entry is None:
-            fb = _link(lam, key[1])
-            entry = links[key] = (fb, _factor_text(fb))
-        return entry
-
+    links: dict[tuple[tuple[int, ...], int], tuple[int, str]] = {}
     # enumeration is sorted by (q, Lambda, A), so one lam_1 may recur after
     # others; the dict keeps each group at its first appearance
-    terms: dict[IntPartition, list[tuple[TermBreakdown, str]]] = {}
+    terms: dict[IntPartition, list[ExpansionTerm]] = {}
     for triple in enumerate_K(n, i):
-        entries = [link(lam, alpha) for lam, alpha in zip(triple.Lambda, triple.A)]
-        tb = _term(triple, tuple(fb for fb, _ in entries))
-        terms.setdefault(triple.Lambda[0], []).append((tb, "".join(text for _, text in entries)))
-    groups = [ExpansionGroup(lam1, tuple(ts), sum(tb.value for tb, _ in ts))
+        value, text = 1, ""
+        for lam, alpha in zip(triple.Lambda, triple.A):
+            key = (lam.blocks, alpha + lam.length)
+            link = links.get(key)
+            if link is None:
+                link = links[key] = _link(lam, key[1])
+            value *= link[0]
+            text += link[1]
+        terms.setdefault(triple.Lambda[0], []).append(ExpansionTerm(triple, text, value))
+    groups = [ExpansionGroup(lam1, tuple(ts), sum(t.value for t in ts))
               for lam1, ts in terms.items()]
     return SymbolicExpansion(n=n, i=i, groups=groups, total=sum(g.value for g in groups))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+from math import prod
 
 import pytest
 
@@ -11,9 +12,8 @@ from klbraid.chain_formula import (
     group_values,
     kl_coeff_via_chains,
     symbolic_expansion,
-    term_value,
 )
-from klbraid.chains import KLChainTriple, chain_heads, enumerate_K
+from klbraid.chains import chain_heads, enumerate_K
 from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import KLTable, kl_coeff
 from klbraid.partitions import IntPartition, multiplicity, partitions_of
@@ -89,9 +89,7 @@ def test_agreement_with_recursion_beyond_default_bound(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_factored_sum_equals_sum_over_triples(n):
     for i in range((n - 2) // 2 + 1):
-        assert kl_coeff_via_chains(n, i) == sum(
-            term_value(t).value for t in enumerate_K(n, i)
-        )
+        assert kl_coeff_via_chains(n, i) == symbolic_expansion(n, i).total
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -102,8 +100,7 @@ def test_grouped_links_are_stirling_products(n):
     for lam in partitions_of(n):
         acc = rows.setdefault(lam.length, [0] * (n + 1))
         for total in range(lam.length, lam.size + 1):
-            fb = _link(lam, total)
-            acc[total] += fb.m_value * fb.inner_sum
+            acc[total] += _link(lam, total)[0]
     for l in range(1, n + 1):
         for total in range(l, n + 1):
             assert rows[l][total] == stirling_first(n, total) * stirling_second(total, l)
@@ -202,17 +199,13 @@ def test_recursion_and_chain_method_share_the_chain_sum(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_link_row_equals_composition_sum(n):
-    # the reference row's convolution against each link's composition list
+    # the reference row's convolution against each link's composition sum
     for lam in partitions_of(n):
         row = _reference_link_row(lam)
         assert len(row) == lam.size + 1
         assert not any(row[: lam.length])
         for total in range(lam.length, lam.size + 1):
-            fb = _link(lam, total)
-            assert (fb.lam, fb.total) == (lam, total)
-            assert row[total] == fb.m_value * fb.inner_sum
-            single = KLChainTriple((lam,), (total - lam.length,), (0,))
-            assert term_value(single).factors == (fb,)
+            assert _link(lam, total)[0] == row[total]
 
 
 @pytest.mark.parametrize("blocks, total", [
@@ -222,12 +215,9 @@ def test_link_row_equals_composition_sum(n):
 def test_infeasible_totals_raise_degenerate_link(blocks, total):
     # a total outside [length, size] has no composition, negative ones included
     lam = IntPartition(blocks)
-    bad = KLChainTriple((lam,), (total - lam.length,), (0,))
     for _ in range(2):
         with pytest.raises(InternalConsistencyError, match="degenerate link"):
             _link(lam, total)
-        with pytest.raises(InternalConsistencyError, match="degenerate link"):
-            term_value(bad)
 
 
 def test_rejects_out_of_range():
@@ -238,49 +228,41 @@ def test_rejects_out_of_range():
 
 
 def test_term_values_sum_to_coefficient():
-    total = sum(term_value(t).value for t in enumerate_K(8, 3))
-    assert total == kl_coeff(8, 3)
+    assert symbolic_expansion(8, 3).total == kl_coeff(8, 3)
 
 
 def test_term_breakdown_audit():
-    t = next(iter(enumerate_K(6, 2)))
-    bd = term_value(t)
-    assert bd.triple == t
-    assert len(bd.factors) == t.q
-    prod = 1
-    for j, fb in enumerate(bd.factors):
-        # the composition target is alpha_j plus the number of blocks
-        assert fb.total == t.A[j] + t.Lambda[j].length
-        assert fb.compositions  # every link keeps its composition detail
-        assert fb.inner_sum == sum(v for _, v in fb.compositions)
-        prod *= fb.m_value * fb.inner_sum
-    assert bd.value == prod
+    # each term is the product of its links' values and the concatenation of
+    # their texts; a link's composition target is alpha_j plus its block count
+    terms = [t for g in symbolic_expansion(6, 2).groups for t in g.terms]
+    triples = list(enumerate_K(6, 2))
+    assert len(terms) == len(triples) and {t.triple for t in terms} == set(triples)
+    for t in terms:
+        links = [_link(lam, alpha + lam.length) for lam, alpha in zip(t.triple.Lambda, t.triple.A)]
+        assert len(links) == t.triple.q
+        assert t.value == prod(value for value, _ in links)
+        assert t.text == "".join(text for _, text in links)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_audit_and_memoized_values_agree(n):
-    # each link's composition list must give the reference row's entry, and
-    # the factors must multiply to the term's value
+    # each term of the expansion, built from its per-call link memo, must be
+    # the product of its links' reference-row entries
     for i in range((n - 2) // 2 + 1):
-        for t in enumerate_K(n, i):
-            bd = term_value(t)
-            ref = 1
-            for lam, alpha in zip(t.Lambda, t.A):
-                ref *= _reference_link_row(lam)[alpha + lam.length]
-            assert bd.value == ref
-            prod = 1
-            for fb in bd.factors:
-                prod *= fb.m_value * fb.inner_sum
-            assert bd.value == prod
+        for g in symbolic_expansion(n, i).groups:
+            for t in g.terms:
+                ref = 1
+                for lam, alpha in zip(t.triple.Lambda, t.triple.A):
+                    ref *= _reference_link_row(lam)[alpha + lam.length]
+                assert t.value == ref
 
 
 def test_degenerate_link_raises_every_time():
     # total 6 exceeds the size of the partition 2, so no composition exists;
     # the failure must not be memoized as a value
-    bad = KLChainTriple((IntPartition([2]),), (5,), (0,))
     for _ in range(3):
         with pytest.raises(InternalConsistencyError, match="degenerate link"):
-            term_value(bad)
+            _link(IntPartition([2]), 6)
 
 
 def test_group_values_six_two():
@@ -325,14 +307,15 @@ def test_symbolic_expansion_shape():
     assert [g.lambda1.blocks for g in exp.groups][0] == (6,)
     assert {g.lambda1.blocks: g.value for g in exp.groups} == group_values(6, 2)
     for g in exp.groups:
-        assert g.value == sum(bd.value for bd, _ in g.terms)
-        for bd, text in g.terms:
-            assert "".join(chain_formula._factor_text(fb) for fb in bd.factors) == text
+        assert g.value == sum(t.value for t in g.terms)
+        for t in g.terms:
+            assert t.triple.Lambda[0] == g.lambda1
+            assert t.text.startswith(f"m({g.lambda1})")
 
 
 def test_expansion_term_texts():
     exp = symbolic_expansion(4, 1)
-    texts = [text for g in exp.groups for _, text in g.terms]
+    texts = [t.text for g in exp.groups for t in g.terms]
     assert texts == [
         "m(4)s(4,3)",
         "m(3+1)s(3,3)s(1,1)",
@@ -345,7 +328,7 @@ def test_expansion_merges_composition_sums():
     # parenthesized sum rather than separate terms
     exp = symbolic_expansion(6, 2)
     by_shape = {g.lambda1.blocks: g for g in exp.groups}
-    texts = [text for _, text in by_shape[(4, 2)].terms]
+    texts = [t.text for t in by_shape[(4, 2)].terms]
     assert texts == ["m(4+2)(s(4,3)s(2,2) + s(4,4)s(2,1))"]
 
 

@@ -169,6 +169,25 @@ def test_corollary_cap_itself_answers():
     assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
 
 
+def test_chain_ceiling_fails_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Stirling table grown despite the ceiling")
+
+    monkeypatch.setattr(stirling.StirlingCache, "_grow_first", refuse)
+    monkeypatch.setattr(stirling.StirlingCache, "_grow_second", refuse)
+    n = cli.CHAIN_SUM_MAX_N + 1
+    assert cli.main(["coeff", str(n), "3", "--method", "chain", "--chain-max-n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Stirling triangles" in captured.err
+
+
+def test_chain_ceiling_itself_answers():
+    n = cli.CHAIN_SUM_MAX_N
+    out = run_cli("coeff", str(n), "1", "--method", "chain", "--chain-max-n", str(n)).stdout
+    assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
+
+
 @pytest.mark.parametrize("n, i", [
     (cli.PXY_MAX_N + 1, 2),
 ])
@@ -282,6 +301,94 @@ LISTING_DIGESTS = {
 def test_listing_output_is_frozen(argv):
     out = run_cli(*argv).stdout
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_DIGESTS[argv]
+
+
+# sha256 of `expand n i` in text and JSON, for every listing with n <= 12
+EXPAND_DIGESTS = {
+    (2, 0, "text"): "de65cbbbab015bd52354d891443c89eab625231b2caa7e8601c1637feb7ad605",
+    (2, 0, "json"): "5c13ac8c77233fd749f44a3166e485c08533f0ea04b5919ba668e2f526624b42",
+    (3, 0, "text"): "d624cf3e12b4c4454250953fb68d42a96545330a7fd44596b1e186cbcd4d4578",
+    (3, 0, "json"): "f8524472a264ed33a3e861e8970c0e62f55d7cb024e38925ee2c8b5bf154bd86",
+    (4, 0, "text"): "3853f5d8568b2756d622bbaec35b11b7ceafd76efd2a0591df48bf55c560a039",
+    (4, 0, "json"): "be5bf6f199498693d4a695ffc7e956d599c0d99f27fe10d6e435a4142e8f97fa",
+    (4, 1, "text"): "037f98063757053a264b205286dcf37e7bf91a0cfd82b0ca80b469d9e3dde7d8",
+    (4, 1, "json"): "201f164fbff9704f2a70f15286fcfd8db55e01780b3db6c0566420478c570c06",
+    (5, 0, "text"): "955e6bfc57b9cd2b4ad2fbbdb46edd4a1a25c1677f0b15d3abc6bf4049871e70",
+    (5, 0, "json"): "eadfd610a987ca675df6d531af759de2aa79d773a744303ff91f24b0b4bfde23",
+    (5, 1, "text"): "0e032363681a021c0a71e1b1f64abc281ab4c52ee43b930e8ac83120d5bbd6a1",
+    (5, 1, "json"): "139e62da70d1940b23db7283a335d78106880d9dfdb34d8e0774654a219cb2aa",
+    (6, 0, "text"): "fcbd3fb84e06b70366d02060d0866ddbe92b5400b8221b13e47b5420c9ab2e11",
+    (6, 0, "json"): "226716729fd92fd26edb2ae3ed2d5af61f4ed3dc1d5fa5c15c81b9effaf55ce7",
+    (6, 1, "text"): "ece38b99062b79c6a5963e3517eec6d105098317644f8e7508115f43eb34acbc",
+    (6, 1, "json"): "1e585346146c35ea72fe086e47cf0828ddc22bbf1c32fc7c3656c56bfc64d027",
+    (6, 2, "text"): "1c293960ab437eb949364793fb3aa4807d518a37b3b0eebc3f7500b4154da193",
+    (6, 2, "json"): "b01a7c103abc99fffa7f9e20a695201fcc86443423ddc681de7687793daddf10",
+    (7, 0, "text"): "5e848e9d01a7dfc6da6883fb2e40c442faadcfe33585537cee3a6f49b716a40c",
+    (7, 0, "json"): "2799ca6c39189612c6272e72c93c615c91f376bcc8debecf606b43211797a4bc",
+    (7, 1, "text"): "fe270c3c2218c58a7fdc1cc9b983779637bb1e5189ba2f15498f7698fba26fc5",
+    (7, 1, "json"): "67fdbba6caf873fd42aba01da3fc9e377ad2daed8ed9cd49f076327918369209",
+    (7, 2, "text"): "50fa7b486d58cec88625fcc39e73ad6b73b22ea7cf662135a502ea33cc2da931",
+    (7, 2, "json"): "a4355b8492adb634e8dfc552b5d75078afa279d0b11998bc05267bd786364270",
+    (8, 0, "text"): "2df55587c99b94a8d050bd99551d71f99ee9751b655b1ac6e4fb777f0f4d015d",
+    (8, 0, "json"): "f609cb6577895573d8ce20a2dd26d814720fa25de75562384006f512766ee875",
+    (8, 1, "text"): "19e812e012aa2ea104f36f8e257e17cba55d15e96a7d520dfa9ad629c1342a36",
+    (8, 1, "json"): "98ebcb3700bb63c7dac3888383a4d817e3ec845a114613a11132508a3ac4afef",
+    (8, 2, "text"): "33c3a81d341e7a07630432682ec177ee1136f1274c40e3202b262605268ce21b",
+    (8, 2, "json"): "fb0c830274ec4535d7847474878b22385c4206cc2b7af6811b217e1f87a6a1b5",
+    (8, 3, "text"): "661b038064f0301ffe5390e93125c0210623bd15b9e5924eb95eed04bf666961",
+    (8, 3, "json"): "41925c3ecac2f1b0d1226f7d3459d8fe74a178d620792040172404912a16721b",
+    (9, 0, "text"): "bf078b1e9a438b0f0f85a13aa8bdc2262433a5529cc38ce83b32720f636d959d",
+    (9, 0, "json"): "f08d6a877ed2e702bb016ea0ab98cd7f640f9dfc2f4dd8d1e5a31d3975cebfad",
+    (9, 1, "text"): "46cdbfd8bf28481f6d2ecd749d231bbd477ea7754659bb5b4451925c9ee9246e",
+    (9, 1, "json"): "e6adc61472633d8fdaf11629e8b7f5de92989047a4a12b515c71b7e3c272baea",
+    (9, 2, "text"): "fdd4ad021482623935031ac92a545fad286663770afe2f4d3ec8a11a425e5f71",
+    (9, 2, "json"): "37aac6ffcdabb5a96a938c90cda47775b616d29ddd2190e230faa81cd4c803c8",
+    (9, 3, "text"): "dd1dea0cd0a19db6b15d139ccc803db90af9fd91c15e4feb4fa1ceab790ea970",
+    (9, 3, "json"): "5e8c7cef1f1f7286bc0b7a1e05f3fc7086cf42d34efe58e2cb40038bae781888",
+    (10, 0, "text"): "486bb64a2fe2e1e34a2ecb1925a489c56f46000ea80f5d9b3b5dd755db9bd83f",
+    (10, 0, "json"): "a70e1355aeb8b407770c5a2c160df37180c453f3a93c90f8a7a940c60e5016ff",
+    (10, 1, "text"): "660751d9d940064920a3dfed6e7b70b96649ec23541066a3dc1e21b5e7ffcc0d",
+    (10, 1, "json"): "a6807bc97513fce6e8d6dd4fbd5a9c98321dd9a1c82fc1c20d7f0474507528d1",
+    (10, 2, "text"): "1e451e57fe8015ff424e4726ae65df5ec6b028a0e8641f455d5e01262e71fd40",
+    (10, 2, "json"): "953f6cc02308f0e6170a34105ec7133a25ecca223ed363b1c9101e84eaf107b8",
+    (10, 3, "text"): "dd000b012499f576e6d90aae8e78f1f2d9115adb3ca673653d9b6982c689b423",
+    (10, 3, "json"): "6ca526b0c25d9c29c43484f22769abd037ef0746184767968cb45eabb2fda040",
+    (10, 4, "text"): "3ed380ea7a37e0dbd00e063275169a61648177981f0470a8a00cd7e80123d639",
+    (10, 4, "json"): "d889279dd0675d97731305e26029e15977ea66e37b5c7482303ae380ada39b7a",
+    (11, 0, "text"): "0d4c184800a4b5e4a0f119239f86b772194dc8109485018ab88460a6f47d6681",
+    (11, 0, "json"): "c6239b97dd7519cc7a9713a4e25157e5d4d75224fbd2bdc719a7eb04a1bee0f2",
+    (11, 1, "text"): "c58fb7b7f4cd1981b40b5eca25308dd7fbd2dc00d3a7fa5bb507c138bc3095dd",
+    (11, 1, "json"): "6250a9c936cb110a39b668b1c454e4d9c550989c9dc9fe10a63b95a9cf6facd4",
+    (11, 2, "text"): "3855e39ca0404a0b62cd7a0845bf6e475679705c4767c7e74de32888e496839e",
+    (11, 2, "json"): "1d664d3a59f34efb78ef6ac7ea6be506dcda09dfd0b6ac79f934644bec932aa4",
+    (11, 3, "text"): "fcc48bdfbbbbb0c9b99afec5b4e54d2f882683e678575bced9089fda0fe74e00",
+    (11, 3, "json"): "04da48ad751a8a7d9c1eccae8128d4c3b3383a29248c9443464456af3c44ccdb",
+    (11, 4, "text"): "3eff8bd974513c06334a72c8ced8e75d11bcdf966eb225feeab0c26cbf162f6b",
+    (11, 4, "json"): "8ea0fb518141d66b933336418061d066eb7818e4105d55cbdc9ba4b86ffcf730",
+    (12, 0, "text"): "26c8aa3e54ae3e0d4e00b2d4b88f58bf318c537d79c5fdd2f2888188a62f8b85",
+    (12, 0, "json"): "9140685d784535fe1b91ab49c8e7c3c53448ea14db7c3fe32e2c785e8a101ca7",
+    (12, 1, "text"): "961c339c71cf38e517eda7fab8d3a41fe98c14762ff36feffc8d0a9db786c716",
+    (12, 1, "json"): "b9f84a73e45481369d49875a082e27f192ad97d3d3616b8bfeb5e52f15c613ee",
+    (12, 2, "text"): "cfd6fe23ea7af5558a0d055392692a44a84bd4017162e8cf94df582f5fa58ee2",
+    (12, 2, "json"): "7a4eee0c66b55cef762d5f109fe16d646ef26202f06653fdbcd2c0db9ce6ff77",
+    (12, 3, "text"): "f3e7e2f2cef406c35f079ee653b79b52f19d607f4b9449e1c0629e80ff4a6dc3",
+    (12, 3, "json"): "fd96c5f6e290a1e8d4be5843c04c931ea56d11974b8d6f0c3a1928dec2058498",
+    (12, 4, "text"): "51a8db962688ec98e9d86670fc4375a655ad2aa2547616cb818a29f0a1d79136",
+    (12, 4, "json"): "cf8c98d119645fba497f8a2a6b50fd242e7f6c7510518397b7104e61ec2a9010",
+    (12, 5, "text"): "b8d59769c2621b72c7b562cf09dcc33b3a2831434359937c3193519874496125",
+    (12, 5, "json"): "5a5f0e99111ac75e641b1864fb81d48bdf0f7055c063ef0df15006c85887a487",
+}
+
+
+def test_every_expansion_is_pinned_through_12(capsys):
+    got = {}
+    for n in range(2, 13):
+        for i in range((n - 2) // 2 + 1):
+            for fmt in ("text", "json"):
+                assert cli.main(["expand", str(n), str(i), "--format", fmt]) == 0
+                got[n, i, fmt] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert len(got) == 72
+    assert got == EXPAND_DIGESTS
 
 
 def test_selftest_passes():

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from klbraid import kl_recursion, stirling
+from klbraid import chain_formula, kl_recursion, stirling
 from klbraid.errors import InternalConsistencyError
 from klbraid.kl_recursion import (
     KLTable,
@@ -485,3 +485,47 @@ def test_fault_matrix(monkeypatch, fault):
     else:
         table._chi[row,] = partition_char_poly(row) + IntPoly.one()
     assert _first_refusal(lambda: table.poly(FAULT_TOP)) == FAULT_MATRIX[fault]
+
+
+# Keyed by the chain method's input raised or dropped: ("memo", n, i) raises
+# the chain memo's C(n, i) by 1 once it is filled; ("drop", n, i, l, xi)
+# drops chain_sum(n, i)'s term at (l, xi) on both routes.  The value is the
+# recursion's first refusal in a fill to CHAIN_FAULT_TOP, then the first cell
+# (n, i) of the rows it filled where chain = recursion fails.  The recursion
+# never reads the chain memo, so only the agreement sees a raised entry; a
+# dropped term is the same on both routes, so only the recursion's own
+# `high` check refuses it.
+CHAIN_FAULT_TOP = 30
+CHAIN_FAULT_MATRIX = {
+    ("memo", 9, 3): (None, (9, 3)),
+    ("memo", 25, 4): (None, (25, 4)),
+    ("drop", 9, 3, 4, 1): ((9, ("high",)), None),
+    ("drop", 25, 4, 1, 0): ((25, ("high",)), None),
+}
+
+
+@pytest.mark.parametrize("fault", list(CHAIN_FAULT_MATRIX),
+                         ids=lambda f: "-".join(map(str, f)))
+def test_chain_fault_matrix(monkeypatch, fault):
+    kind, row, col, *term = fault
+    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
+    if kind == "memo":
+        chain_formula.kl_coeff_via_chains(row, col)
+        chain_formula._grouped_sums[row, col] += 1
+    else:
+        real = kl_recursion.chain_sum
+
+        def dropping(n, i, coeff):
+            if (n, i) != (row, col):
+                return real(n, i, coeff)
+            return real(n, i, lambda l, x: 0 if [l, x] == term else coeff(l, x))
+
+        monkeypatch.setattr(kl_recursion, "chain_sum", dropping)
+        monkeypatch.setattr(chain_formula, "chain_sum", dropping)
+    table = KLTable()
+    refusal = _first_refusal(lambda: table.poly(CHAIN_FAULT_TOP))
+    disagreement = next(((n, i) for n in range(2, len(table._polys))
+                         for i in range((n - 2) // 2 + 1)
+                         if chain_formula.kl_coeff_via_chains(n, i) != table.poly(n).coeff(i)),
+                        None)
+    assert (refusal, disagreement) == CHAIN_FAULT_MATRIX[fault]
