@@ -19,9 +19,12 @@ flag Whitney counts rather than the Z-polynomial; and at i = 1 by the
 degree-one closed forms.  pxy is independent in code and formula but not
 in input: it reads only S, as the diagonal does, so pxy = recursion cannot
 catch a corrupted S entry (the close and the coefficient-k check can).  The
-close and ``defining_identity`` compute the one identity two ways, from a
-set-partition recurrence by block count and term by term over integer
-partitions with their multiplicities, so each checks the other.
+close and ``defining_identity`` compute the one identity two ways: from a
+two-term recurrence for the rows of B, which reads no chi, and term by term
+over integer partitions, with their multiplicities and the chi products of
+the table's memo.  They share no input but the table's rows, so each checks
+the other's input too: a wrong chi entry fails ``defining_identity`` alone,
+and a wrong row of B fails the close alone.
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ The self-test battery lives in ``klbraid.checks``.
 Each command imports the method modules it runs, and no others, when it
 runs: building the parser needs only the constants below, so a ``klb``
 process that answers from the lattice oracle never loads the chain or
-Stirling modules.
+Stirling modules.  ``csv`` and ``json`` are likewise imported only by the
+formats that print them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from importlib import import_module
 
@@ -181,6 +180,12 @@ def _method_values(n: int, i: int, args) -> list[tuple[str, int]]:
     return [(m, _coeff_by_method(m, n, i, args)) for m in _applicable_methods(n, i, args)]
 
 
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj, indent=2))
+
+
 def cmd_coeff(args) -> int:
     _check_oracle_bound(args)
     n, i = args.n, args.i
@@ -208,7 +213,7 @@ def cmd_poly(args) -> int:
 
     p = kl_recursion.kl_braid_poly(n)
     if args.format == "json":
-        print(json.dumps({"n": n, "coefficients": p.to_json_obj()}, indent=2))
+        _print_json({"n": n, "coefficients": p.to_json_obj()})
     else:
         print(p.render(descending=args.descending))
     return 0
@@ -232,12 +237,14 @@ def _table_rows(args):
 
 def _emit_table(rows, fmt):
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "i", "c"])
         for n, i, c, _ in rows:
             writer.writerow([n, i, c])
     elif fmt == "json":
-        print(json.dumps([{"n": n, "i": i, "c": str(c)} for n, i, c, _ in rows], indent=2))
+        _print_json([{"n": n, "i": i, "c": str(c)} for n, i, c, _ in rows])
     elif fmt == "md":
         print("| n | i | c |")
         print("| --- | --- | --- |")
@@ -284,7 +291,7 @@ def cmd_chains(args) -> int:
     triples = _index_set_listing(args, CHAINS_MAX_N, "lists",
                                  lambda n, i: list(chains.enumerate_K(n, i)))
     if args.format == "json":
-        print(json.dumps([t.to_json_obj() for t in triples], indent=2))
+        _print_json([t.to_json_obj() for t in triples])
     else:
         for t in triples:
             print(t)
@@ -297,7 +304,7 @@ def cmd_expand(args) -> int:
 
     exp = _index_set_listing(args, EXPAND_MAX_N, "renders", chain_formula.symbolic_expansion)
     if args.format == "json":
-        print(json.dumps(exp.to_json_obj(), indent=2))
+        _print_json(exp.to_json_obj())
     else:
         print(exp.render_text())
     return 0

@@ -9,17 +9,19 @@ multiset is a given partition of n, via the factorial formula
 where r_b is the number of blocks of size exactly b: the length of a run of
 equal blocks in the sorted tuple.  ``set_partitions_of`` enumerates actual
 set partitions so that formula can be checked against a census, and
-``set_partition_row`` sums weights over set partitions by block count
-without enumerating them.
+``chi_block_row`` sums the products of their blocks' characteristic
+polynomials by block count, one row from the last, without enumerating
+them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import product
-from math import comb, factorial
+from math import factorial
 
 from .errors import InternalConsistencyError, OracleBoundError
+from .polynomial import IntPoly
 
 DEFAULT_SET_PARTITION_BOUND = 9
 
@@ -97,25 +99,31 @@ def multiplicity(lam: IntPartition) -> int:
     return q
 
 
-def set_partition_row(rows: list, weights):
-    """Row m = len(rows) of B_{m,l}, the sum over the set partitions of an
-    m-set into l blocks of the product of their blocks' weights.
+def chi_block_row(prev: list[IntPoly]) -> list[IntPoly]:
+    """Row m = len(prev) of B_{m,l}(t), the sum over the set partitions of
+    an m-set into l blocks b of prod_b chi_{|b|}(t), from ``prev``, row
+    m - 1 (``prev[l]`` is B_{m-1,l} for 0 <= l < m, and row 0 is [1]).
 
-    ``rows[k][l]`` is B_{k,l} for 0 < l <= k < m; ``weights[b-1]`` weighs a
-    block of size b, for b <= m.  Splitting on the size b of the block that
-    holds one fixed point (Stanley, Enumerative Combinatorics 2, section 5.1),
+    chi_k is the falling factorial (t-1)(t-2)...(t-k+1), so point m either
+    opens a new block, or joins one of the l blocks b of a partition of the
+    other m - 1 points and turns chi_|b| into chi_|b| * (t - |b|).  Over the
+    l blocks those factors sum to l*t - (m-1), so
 
-        B_{m,l} = sum_b C(m-1, b-1) * w_b * B_{m-b,l-1},
+        B_{m,l} = (l*t - (m-1)) * B_{m-1,l} + B_{m-1,l-1},
 
-    so a row costs one product per (l, b) and walks no partition.  Entry
-    l = 0 of the result is zero; rows[0] is never read.
+    and a row costs about m^2/2 coefficient operations, reads no chi and
+    walks no partition.  Entry l = 0 of the result is zero.
     """
-    m = len(rows)
-    zero = 0 * weights[0]
-    heads = [zero] + [comb(m - 1, b - 1) * weights[b - 1] for b in range(1, m + 1)]
-    row = [zero, heads[m]]
-    for l in range(2, m + 1):
-        row.append(sum((heads[b] * rows[m - b][l - 1] for b in range(1, m - l + 2)), zero))
+    m = len(prev)
+    row = [IntPoly()]
+    for l in range(1, m + 1):
+        same = prev[l].coeffs if l < m else ()
+        out = list(prev[l - 1].coeffs)
+        out += [0] * (len(same) + 1 - len(out))
+        for k, c in enumerate(same):
+            out[k] -= (m - 1) * c
+            out[k + 1] += l * c
+        row.append(IntPoly(out))
     return row
 
 

@@ -80,15 +80,15 @@ def test_broken_partition_identity_is_rejected(monkeypatch, m):
     # drop the one-block term, so only the partition close can refuse row m
     table = KLTable()
     table.poly(m - 1)
-    real = kl_recursion.set_partition_row
+    real = kl_recursion.chi_block_row
 
-    def broken(rows, weights):
-        row = real(rows, weights)
+    def broken(prev):
+        row = real(prev)
         row[1] = IntPoly()
         return row
 
     with monkeypatch.context() as patch:
-        patch.setattr(kl_recursion, "set_partition_row", broken)
+        patch.setattr(kl_recursion, "chi_block_row", broken)
         with pytest.raises(InternalConsistencyError,
                            match=f"defining identity failed to close at n={m}"):
             table.poly(m)
@@ -105,20 +105,20 @@ def test_every_block_count_is_checked(monkeypatch):
     # shape's block count l, so the close must refuse row 12 for every l
     table = KLTable()
     table.poly(11)
-    real = kl_recursion.set_partition_row
+    real = kl_recursion.chi_block_row
     for l in range(1, 12):
         target = next(lam for lam in partitions_of(12) if lam.length == l)
         extra = IntPoly.one()
         for b in target.blocks:
             extra = extra * partition_char_poly(b)
 
-        def corrupted(rows, weights, l=l, extra=extra):
-            row = real(rows, weights)
+        def corrupted(prev, l=l, extra=extra):
+            row = real(prev)
             row[l] = row[l] + extra
             return row
 
         with monkeypatch.context() as patch:
-            patch.setattr(kl_recursion, "set_partition_row", corrupted)
+            patch.setattr(kl_recursion, "chi_block_row", corrupted)
             with pytest.raises(InternalConsistencyError,
                                match="defining identity failed to close at n=12"):
                 table.poly(12)
@@ -135,6 +135,20 @@ def test_partition_close_walks_no_integer_partition(monkeypatch):
 
     monkeypatch.setattr(kl_recursion, "partitions_of", refuse)
     monkeypatch.setattr(kl_recursion, "multiplicity", refuse)
+    assert KLTable().poly(top) == want
+
+
+def test_partition_close_reads_no_chi(monkeypatch):
+    # the close builds B from the last row alone, so it shares no chi with
+    # verify_defining_identity
+    top = kl_recursion.PARTITION_CHECK_MAX_N
+    want = KLTable().poly(top)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partition close read chi")
+
+    monkeypatch.setattr(kl_recursion, "partition_char_poly", refuse)
+    monkeypatch.setattr(KLTable, "_chi_product", refuse)
     assert KLTable().poly(top) == want
 
 
@@ -439,10 +453,11 @@ def _first_refusal(fill):
 
 
 # Keyed by the entry raised: S(n, k), s(n, k), C(n, k) right after row n is
-# filled (so P_n carries it too), or chi_b.  The close refuses P_12 itself;
-# above its reach, row 31's coefficient-k check is the first to read C(30, 5).
-# Only the close of rows n <= PARTITION_CHECK_MAX_N reads chi_b, so no check
-# reads chi_25.
+# filled (so P_n carries it too), B_{n,l} right after row n closes, or chi_b.
+# The close refuses P_12 itself; above its reach, row 31's coefficient-k check
+# is the first to read C(30, 5).  The close of row n + 1 reads B_{n,l}, and no
+# close reads row PARTITION_CHECK_MAX_N of B.  No fill reads chi_b: only
+# verify_defining_identity does, and it fails at b.
 FAULT_MATRIX = {
     ("S", 9, 2): (9, ("low",)),
     ("S", 12, 6): (12, ("low",)),
@@ -454,16 +469,19 @@ FAULT_MATRIX = {
     ("s", 45, 2): (45, ("low",)),
     ("C", 12, 3): (12, ("close",)),
     ("C", 30, 5): (31, ("low",)),
-    ("chi", 5): (5, ("close",)),
+    ("B", 12, 3): (13, ("close",)),
+    ("B", kl_recursion.PARTITION_CHECK_MAX_N, 3): None,
+    ("chi", 5): None,
     ("chi", 25): None,
 }
 
 
 @pytest.mark.parametrize("fault", list(FAULT_MATRIX), ids=lambda f: "-".join(map(str, f)))
 def test_fault_matrix(monkeypatch, fault):
-    # one wrong entry of S, s, the coefficient memo or the chi memo, below
-    # and above the partition close's reach; both Stirling triangles are
-    # grown to FAULT_TOP before an entry is raised, so no row grows from it
+    # one wrong entry of S, s, the coefficient memo, the kept row of B or the
+    # chi memo, below and above the partition close's reach; both Stirling
+    # triangles are grown to FAULT_TOP before an entry is raised, so no row
+    # grows from it
     cache = _fresh_stirling_cache(monkeypatch)
     cache.first(FAULT_TOP, 0)
     cache.second(FAULT_TOP, 0)
@@ -482,9 +500,21 @@ def test_fault_matrix(monkeypatch, fault):
                 self._coeffs[row, col[0]] += 1
 
         monkeypatch.setattr(KLTable, "_fill_row", fill_then_corrupt)
+    elif kind == "B":
+        real = KLTable._solve
+
+        def solve_then_corrupt(self, m):
+            p = real(self, m)
+            if m == row:
+                self._block_row[col[0]] += IntPoly.one()
+            return p
+
+        monkeypatch.setattr(KLTable, "_solve", solve_then_corrupt)
     else:
         table._chi[row,] = partition_char_poly(row) + IntPoly.one()
     assert _first_refusal(lambda: table.poly(FAULT_TOP)) == FAULT_MATRIX[fault]
+    if kind == "chi":
+        assert not verify_defining_identity(row, table).equal
 
 
 # Keyed by the chain method's input raised or dropped: ("memo", n, i) raises

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from itertools import product
 
 import pytest
@@ -14,9 +13,9 @@ from klbraid.partitions import (
     IntPartition,
     _set_partitions_unchecked,
     bounded_compositions,
+    chi_block_row,
     multiplicity,
     partitions_of,
-    set_partition_row,
     set_partitions_of,
     shape_of,
 )
@@ -149,27 +148,29 @@ def test_shape_of():
     assert shape_of(((1, 3), (2,), (4, 5, 6))).blocks == (3, 2, 1)
 
 
-def _set_partition_rows(top, weights, one):
-    rows = [[one]]
+def _chi_block_rows(top):
+    rows = [[IntPoly.one()]]
     while len(rows) <= top:
-        rows.append(set_partition_row(rows, weights))
+        rows.append(chi_block_row(rows[-1]))
     return rows
 
 
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=7, max_size=7))
-def test_set_partition_rows_match_brute_force(weights):
-    rows = _set_partition_rows(7, weights, 1)
-    for n in range(1, 8):
-        want = [0] * (n + 1)
+def test_chi_block_rows_match_brute_force():
+    rows = _chi_block_rows(8)
+    for n in range(1, 9):
+        want = [IntPoly()] * (n + 1)
         for sp in set_partitions_of(n):
-            want[len(sp)] += math.prod(weights[len(block) - 1] for block in sp)
+            term = IntPoly.one()
+            for block in sp:
+                term = term * partition_char_poly(len(block))
+            want[len(sp)] = want[len(sp)] + term
         assert rows[n] == want
 
 
 def test_set_partition_rows_sum_the_shapes():
-    # with chi weights, B_{n,l} = sum over lam |- n of length l of m(lam) * chi_lam
+    # B_{n,l} = sum over lam |- n of length l of m(lam) * chi_lam
     chi = [partition_char_poly(b) for b in range(1, 21)]
-    rows = _set_partition_rows(20, chi, IntPoly.one())
+    rows = _chi_block_rows(20)
     for n in range(1, 21):
         want = [IntPoly()] * (n + 1)
         for lam in partitions_of(n):
