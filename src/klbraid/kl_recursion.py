@@ -46,8 +46,8 @@ two-term recurrence B_{n,l} = (l*t - (n-1)) * B_{n-1,l} + B_{n-1,l-1}, in
 O(n^2) coefficient operations, reading no chi and walking no integer
 partition.  The l = n term is P_n itself, and the others cost one product
 by P_l each.  ``verify_defining_identity`` sums the identity over integer
-partitions instead, term by term, at any n, with chi_lam from the table's
-own memo, which the close never reads:
+partitions instead, term by term, at any n, with chi_lam from a memo that
+lives for the call:
 
     t^(n-1) * P_n(1/t) = sum_{lam |- n} m(lam) * chi_lam(t) * P_{l(lam)}(t),
 
@@ -87,24 +87,10 @@ class KLTable:
         self._coeffs: dict[tuple[int, int], int] = {}
         # [t^k]Z_r for the (r, k) the coefficient-k check has read
         self._z: dict[tuple[int, int], int] = {}
-        # chi_lam keyed by lam's blocks > 1, in decreasing order; only
-        # verify_defining_identity reads it
-        self._chi: dict[tuple[int, ...], IntPoly] = {(): IntPoly.one()}
         # B_{m,l} as _block_row[l] for the last row m <= PARTITION_CHECK_MAX_N
         # that closed, the only row the next one is built from
         self._block_row: list[IntPoly] = [IntPoly(), IntPoly.one()]
         self._lock = threading.RLock()
-
-    def _chi_product(self, key: tuple[int, ...]) -> IntPoly:
-        prod = self._chi.get(key)
-        if prod is None:
-            if len(key) == 1:
-                prod = partition_char_poly(key[0])
-            else:
-                # splitting off the smallest block makes the cheapest product
-                prod = self._chi_product(key[:-1]) * self._chi_product(key[-1:])
-            self._chi[key] = prod
-        return prod
 
     def poly(self, n: int) -> IntPoly:
         if n < 1:
@@ -239,13 +225,27 @@ def verify_defining_identity(n: int, table: KLTable | None = None) -> IdentityRe
     the all-singletons term along with the rest."""
     tab = table or _DEFAULT_TABLE
     lhs = tab.poly(n).reverse(n - 1)  # fills the table through n
+    # chi_lam keyed by lam's blocks > 1, in decreasing order
+    chi: dict[tuple[int, ...], IntPoly] = {(): IntPoly.one()}
+
+    def chi_product(key: tuple[int, ...]) -> IntPoly:
+        prod = chi.get(key)
+        if prod is None:
+            if len(key) == 1:
+                prod = partition_char_poly(key[0])
+            else:
+                # splitting off the smallest block makes the cheapest product
+                prod = chi_product(key[:-1]) * chi_product(key[-1:])
+            chi[key] = prod
+        return prod
+
     rhs = IntPoly()
     summands = []
     with tab._lock:
         for lam in partitions_of(n):
             blocks = lam.blocks
-            chi = tab._chi_product(blocks[:len(blocks) - blocks.count(1)])
-            term = multiplicity(lam) * chi * tab._polys[lam.length]
+            chi_lam = chi_product(blocks[:len(blocks) - blocks.count(1)])
+            term = multiplicity(lam) * chi_lam * tab._polys[lam.length]
             rhs = rhs + term
             summands.append((lam, term))
     return IdentityReport(n=n, lhs=lhs, rhs=rhs, summands=summands)

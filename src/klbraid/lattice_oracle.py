@@ -3,11 +3,14 @@
 Everything here works from an explicit order relation, with no knowledge of
 the Stirling/partition identities used by the fast paths, which is what
 makes the cross-checks meaningful.  The order is stored as one bitmask per
-element (bit j of ``up[i]`` set iff element i <= element j), elements are
-indexed in rank-ascending order so that index order is a linear extension,
-and the Moebius function is computed by straight summation over intervals.
-The partition lattice's up masks are ANDs of same-block masks, one per pair
-of points; the down masks are built only when the Moebius function asks.
+element (bit j of ``up[i]`` set iff element i <= element j), and the Moebius
+function is computed by straight summation over intervals.  Validation and
+the generic solve need no particular index order; the Moebius sums run in
+index order, so they need it to be a linear extension, as the partition
+lattice's rank-ascending order is.  The partition lattice's order is built
+from block containment: up[e] is the AND, over e's blocks, of the mask of
+partitions with a block containing that block.  The down masks are built
+only when the Moebius function asks.
 
 The Kazhdan-Lusztig recursion is solved directly on the lattice:
 
@@ -17,8 +20,9 @@ The F = bottom term is P itself, so the remaining sum Q determines the low
 coefficients (degree < rk/2) as C_j = -[t^j] Q, and the high half of the
 identity is then verified exactly; any mismatch raises, since it means the
 input was not the lattice of flats of a matroid.  Q is regrouped by Moebius
-inversion, and the elements above are summed by value class: one mask AND
-and popcount per element and class.  Q depends only on the rank and the
+inversion, and the elements above are summed by value class.  Ranks are
+solved one at a time from the top down, so each element costs one mask AND
+and popcount per class of higher rank.  Q depends only on the rank and the
 count in each class, so the solve and its check run once per distinct key:
 elements x classes mask operations plus rank + 1 solves on a partition
 lattice, elements^2 mask operations and a solve per element when every
@@ -34,13 +38,17 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import combinations, zip_longest
+from itertools import repeat, zip_longest
 
 from .errors import InternalConsistencyError, OracleBoundError
 from .partitions import set_partitions_of
 from .polynomial import IntPoly
 
 DEFAULT_LATTICE_BOUND = 9
+# elements per batch of the generic solve's counts: a batch holds each of its
+# elements' up masks, so a whole rank of the partition lattice of a 9-set
+# at once would hold thousands of 21147-bit masks
+_SLICE = 512
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -57,8 +65,11 @@ class RankedLattice:
     Construction validates that the order is reflexive, that rank strictly
     increases along it, that there is a unique bottom and top, that the
     bottom has rank 0, and that every rank up to the top's is held by some
-    element.  Each check is one mask operation per element; the down masks,
-    which only the Moebius function reads, are built on first use.
+    element.  Index order need not be rank order.  Reflexivity and strict
+    rank increase are checked together, by one AND per element with the mask
+    of every element of rank at most its own, which must leave the element
+    alone; the per-rank masks are set a bit at a time in bytearrays.  The
+    down masks, which only the Moebius function reads, are built on first use.
 
     Gradedness is checked only that far: a rank function need not be the
     height, and the generic solve keys Q by rank as well as by what lies
@@ -75,22 +86,27 @@ class RankedLattice:
         self.elements = list(elements)
         self.ranks = list(ranks)
         self.up = list(up_masks)
-        of_rank: dict[int, int] = {}
+        width = (n + 7) >> 3
+        rank_bufs: dict[int, bytearray] = {}
         for i, r in enumerate(self.ranks):
-            of_rank[r] = of_rank.get(r, 0) | (1 << i)
+            buf = rank_bufs.get(r)
+            if buf is None:
+                buf = rank_bufs[r] = bytearray(width)
+            buf[i >> 3] |= 1 << (i & 7)
         at_most: dict[int, int] = {}
         acc = 0
-        for r in sorted(of_rank):
-            acc |= of_rank[r]
+        for r in sorted(rank_bufs):
+            acc |= int.from_bytes(rank_bufs[r], "little")
             at_most[r] = acc
         top_mask = full
         for i, mask in enumerate(self.up):
+            # of the elements of rank at most rank(i), i's up-set holds i alone
             bit = 1 << i
-            if not mask & bit:
-                raise ValueError("order must be reflexive")
-            if (mask ^ bit) & at_most[self.ranks[i]]:
+            if (mask & at_most[self.ranks[i]]) != bit:
+                if not mask & bit:
+                    raise ValueError("order must be reflexive")
                 raise ValueError("rank must strictly increase along the order")
-            if mask >> n:
+            if mask.bit_length() > n:
                 raise ValueError(f"up mask of element {i} names an element outside the lattice")
             top_mask &= mask
         bottoms = [i for i in range(n) if self.up[i] == full]
@@ -101,7 +117,7 @@ class RankedLattice:
         if self.ranks[self.bottom] != 0:
             raise ValueError("bottom must have rank 0")
         # every rank lies in 0..rank(top), so a graded lattice holds each one
-        missing = set(range(self.ranks[self.top])) - of_rank.keys()
+        missing = set(range(self.ranks[self.top])) - rank_bufs.keys()
         if missing:
             raise ValueError(f"not graded: no element has rank {min(missing)}")
         self._mobius_rows: dict[int, dict[int, int]] = {}
@@ -150,47 +166,59 @@ def build_partition_lattice(n: int) -> RankedLattice:
     """The lattice of set partitions of {1..n}, ordered by refinement.
 
     The all-singletons partition is the bottom (rank 0); rank is n minus the
-    number of blocks.  f lies above e exactly when every two consecutive
-    members of each block of e share a block of f.  So the order is built
-    from one same-block mask per pair x < y, the elements in which x and y
-    share a block: a block's mask is the AND of its consecutive pairs' masks,
-    and up[e] is the AND of the masks of e's blocks.  Cost: one bit set per
-    element and same-block pair, then one mask AND per element and block of
-    two or more points.
+    number of blocks, and elements are listed by rank, then as tuples.  f
+    lies above e exactly when each block of e lies inside a block of f.  So
+    the order is built from block containment: ``has[B]`` holds the elements
+    with a block whose points are the set B, ``inside[b]``, the OR of
+    ``has[B]`` over every B containing b, holds those with a block containing
+    b, and up[e] is the AND of ``inside[b]`` over e's blocks.  Cost: one bit
+    set per element and block of two or more points, n * 2^(n-1) mask ORs
+    for the superset sums over the point sets, then one mask AND per element
+    and block of two or more points.
     """
     if n < 2:
         raise ValueError("partition lattice needs n >= 2")
     if n > DEFAULT_LATTICE_BOUND:
         raise OracleBoundError(f"partition lattice capped at n <= {DEFAULT_LATTICE_BOUND}, got {n}")
-    elements = sorted(set_partitions_of(n), key=lambda p: (n - len(p), p))
+    by_blocks: list[list[tuple[tuple[int, ...], ...]]] = [[] for _ in range(n + 1)]
+    for part in set_partitions_of(n):
+        by_blocks[len(part)].append(part)
+    elements: list[tuple[tuple[int, ...], ...]] = []
+    ranks: list[int] = []
+    for k in range(n, 0, -1):
+        by_blocks[k].sort()
+        elements += by_blocks[k]
+        ranks += [n - k] * len(by_blocks[k])
     width = (len(elements) + 7) >> 3
-    together = {pair: bytearray(width) for pair in combinations(range(1, n + 1), 2)}
-    pair_bufs: dict[tuple[int, ...], list[bytearray]] = {}  # block -> its pairs' buffers
+    has: dict[tuple[int, ...], bytearray] = {}
     for i, part in enumerate(elements):
         byte, bit = i >> 3, 1 << (i & 7)
         for block in part:
             if len(block) > 1:
-                bufs = pair_bufs.get(block)
-                if bufs is None:
-                    bufs = pair_bufs[block] = [together[pair] for pair in combinations(block, 2)]
-                for buf in bufs:
-                    buf[byte] |= bit
-    same_block = {pair: int.from_bytes(buf, "little") for pair, buf in together.items()}
+                buf = has.get(block)
+                if buf is None:
+                    buf = has[block] = bytearray(width)
+                buf[byte] |= bit
+    inside = [0] * (1 << n)  # indexed by a set of points, bit x - 1 for point x
+    points = {block: sum(1 << (x - 1) for x in block) for block in has}
+    for block, buf in has.items():
+        inside[points[block]] = int.from_bytes(buf, "little")
+    del has
+    for j in range(n):
+        bit = 1 << j
+        for s in range(1 << n):
+            if not s & bit:
+                inside[s] |= inside[s | bit]
+    inside_of = {block: inside[b] for block, b in points.items()}
     full = (1 << len(elements)) - 1
-    inside = {}
-    for block in pair_bufs:
-        mask = full
-        for pair in zip(block, block[1:]):
-            mask &= same_block[pair]
-        inside[block] = mask
     ups = []
     for part in elements:
         mask = full
         for block in part:
             if len(block) > 1:
-                mask &= inside[block]
+                mask &= inside_of[block]
         ups.append(mask)
-    return RankedLattice(elements, [n - len(p) for p in elements], ups)
+    return RankedLattice(elements, ranks, ups)
 
 
 def mobius(L: RankedLattice, x: int, y: int) -> int:
@@ -223,6 +251,19 @@ def _solve_upper(q: IntPoly, rk: int) -> tuple[IntPoly, bool]:
     return p, p.reverse(rk) - p == q
 
 
+def _class_counts(L: RankedLattice, at_rank: list[int], masks: list[int], lo: int):
+    # each element of one rank with its count in each class mask, every mask
+    # shifted right by lo, counted a class at a time over _SLICE elements
+    if not masks:
+        yield from zip(at_rank, repeat(()))
+        return
+    shifted = [mask >> lo for mask in masks]
+    for start in range(0, len(at_rank), _SLICE):
+        part = at_rank[start:start + _SLICE]
+        ups = [L.up[e] >> lo for e in part]
+        yield from zip(part, zip(*[[(up & mask).bit_count() for up in ups] for mask in shifted]))
+
+
 def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     """Kazhdan-Lusztig polynomial of a lattice, by the defining recursion.
 
@@ -230,63 +271,79 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     By Moebius inversion (the Z-polynomial regrouping of Proudfoot-Xu-Young),
     Q_e = t^(-rank(e)) sum_{f > e} t^rank(f) P_f - sum_{f > e} (Q_f + P_f) for
     whatever the table holds, pre-filled entries included, so two coefficient
-    vectors per element replace every interval.  Visited elements are grouped
+    vectors per element replace every interval.  Solved elements are grouped
     by their value (T_f, W_f) = (t^rank(f) P_f, Q_f + P_f), one bitmask per
-    distinct value, so each sum over f > e is sum_v v * |up(e) - e & mask_v|.
+    distinct value, so each sum over f > e is sum_v v * |up(e) & mask_v|.
     Q_e is therefore fixed by rank(e) and the counts per value class, and the
     solve and its identity check run once per distinct such key; a pre-filled
     entry takes Q from its key and its value from its own P.
 
-    Cost: elements x classes mask ANDs and popcounts, plus one solve per
-    distinct key.  On a partition lattice there are rank + 1 classes and
-    rank + 1 keys; in the worst case, every value distinct, it is elements^2
-    mask operations and a solve per element.  Raises InternalConsistencyError
-    at the first element whose degree-constrained solve fails the full
-    identity, which means the input is not the lattice of flats of a matroid.
+    Ranks are solved one at a time from the top down, each in index order.
+    Rank strictly increases along the order, so two elements of one rank are
+    never comparable: everything above an element has a higher rank and is
+    already solved, and a rank joins the class masks only once all of it is.
+    Index order need not be rank order; the masks are read shifted right by
+    the lowest index solved so far, which no class mask lies below.
+
+    Cost: one mask AND and popcount per element and class of higher rank,
+    plus one solve per distinct key.  On a partition lattice there are
+    rank + 1 classes and rank + 1 keys; in the worst case, every value
+    distinct, it is elements^2 mask operations and a solve per element.
+    Raises InternalConsistencyError at the first element whose
+    degree-constrained solve fails the full identity, which means the input
+    is not the lattice of flats of a matroid.
     """
     cache = L._kl_upper
     classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     masks: list[int] = []
-    # (rank, ((class, count), ...)) -> (Q, solved P, identity closes, value)
-    solved: dict[tuple, tuple] = {}
-    for e in sorted(range(len(L)), key=lambda e: -L.ranks[e]):
-        r = L.ranks[e]
-        above = L.up[e] ^ (1 << e)
-        counts = []
-        for c, mask in enumerate(masks):
-            k = (above & mask).bit_count()
-            if k:
-                counts.append((c, k))
-        key = (r, tuple(counts))
-        entry = solved.get(key)
-        if entry is None:
-            t_sum: list[int] = []  # sum of t^rank(f) * P_f, by absolute degree
-            w_sum: list[int] = []  # sum of Q_f + P_f
-            for c, k in counts:
-                t_f, w_f = values[c]
-                _add_scaled(t_sum, k, t_f)
-                _add_scaled(w_sum, k, w_f)
-            q = IntPoly(a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0))
-            p, closes = _solve_upper(q, L.rank - r)
-            entry = solved[key] = (q, p, closes, ((0,) * r + p.coeffs, (q + p).coeffs))
-        q, p, closes, value = entry
-        filled = cache.get(e)
-        if filled is not None:
-            value = ((0,) * r + filled.coeffs, (q + filled).coeffs)
-        elif closes:
-            cache[e] = p
-        else:
-            raise InternalConsistencyError(
-                f"degree-constrained solve inconsistent at element {e}; "
-                "input is not a geometric lattice"
-            )
-        c = classes.get(value)
-        if c is None:
-            c = classes[value] = len(values)
-            values.append(value)
-            masks.append(0)
-        masks[c] |= 1 << e
+    of_rank: dict[int, list[int]] = {}
+    for e, r in enumerate(L.ranks):
+        of_rank.setdefault(r, []).append(e)
+    lo = len(L)  # lowest index solved so far
+    for r in sorted(of_rank, reverse=True):
+        at_rank = of_rank[r]
+        base = at_rank[0] & ~7
+        width = ((at_rank[-1] - base) >> 3) + 1
+        members: dict[int, bytearray] = {}  # class -> this rank's elements in it
+        # counts per class of higher rank -> (Q, solved P, identity closes, value)
+        solved: dict[tuple[int, ...], tuple] = {}
+        for e, counts in _class_counts(L, at_rank, masks, lo):
+            entry = solved.get(counts)
+            if entry is None:
+                t_sum: list[int] = []  # sum of t^rank(f) * P_f, by absolute degree
+                w_sum: list[int] = []  # sum of Q_f + P_f
+                for c, k in enumerate(counts):
+                    if k:
+                        t_f, w_f = values[c]
+                        _add_scaled(t_sum, k, t_f)
+                        _add_scaled(w_sum, k, w_f)
+                q = IntPoly(a - b for a, b in zip_longest(t_sum[r:], w_sum, fillvalue=0))
+                p, closes = _solve_upper(q, L.rank - r)
+                entry = solved[counts] = (q, p, closes, ((0,) * r + p.coeffs, (q + p).coeffs))
+            q, p, closes, value = entry
+            filled = cache.get(e)
+            if filled is not None:
+                value = ((0,) * r + filled.coeffs, (q + filled).coeffs)
+            elif closes:
+                cache[e] = p
+            else:
+                raise InternalConsistencyError(
+                    f"degree-constrained solve inconsistent at element {e}; "
+                    "input is not a geometric lattice"
+                )
+            c = classes.get(value)
+            if c is None:
+                c = classes[value] = len(values)
+                values.append(value)
+                masks.append(0)
+            buf = members.get(c)
+            if buf is None:
+                buf = members[c] = bytearray(width)
+            buf[(e - base) >> 3] |= 1 << ((e - base) & 7)
+        for c, buf in members.items():
+            masks[c] |= int.from_bytes(buf, "little") << base
+        lo = min(lo, at_rank[0])
     return cache[L.bottom]
 
 

@@ -148,7 +148,6 @@ def test_partition_close_reads_no_chi(monkeypatch):
         raise AssertionError("the partition close read chi")
 
     monkeypatch.setattr(kl_recursion, "partition_char_poly", refuse)
-    monkeypatch.setattr(KLTable, "_chi_product", refuse)
     assert KLTable().poly(top) == want
 
 
@@ -478,10 +477,10 @@ FAULT_MATRIX = {
 
 @pytest.mark.parametrize("fault", list(FAULT_MATRIX), ids=lambda f: "-".join(map(str, f)))
 def test_fault_matrix(monkeypatch, fault):
-    # one wrong entry of S, s, the coefficient memo, the kept row of B or the
-    # chi memo, below and above the partition close's reach; both Stirling
-    # triangles are grown to FAULT_TOP before an entry is raised, so no row
-    # grows from it
+    # one wrong entry of S, s, the coefficient memo, the kept row of B or
+    # chi_b as kl_recursion reads it, below and above the partition close's
+    # reach; both Stirling triangles are grown to FAULT_TOP before an entry
+    # is raised, so no row grows from it
     cache = _fresh_stirling_cache(monkeypatch)
     cache.first(FAULT_TOP, 0)
     cache.second(FAULT_TOP, 0)
@@ -511,7 +510,12 @@ def test_fault_matrix(monkeypatch, fault):
 
         monkeypatch.setattr(KLTable, "_solve", solve_then_corrupt)
     else:
-        table._chi[row,] = partition_char_poly(row) + IntPoly.one()
+        real = kl_recursion.partition_char_poly
+
+        def raised_chi(b):
+            return real(b) + IntPoly.one() if b == row else real(b)
+
+        monkeypatch.setattr(kl_recursion, "partition_char_poly", raised_chi)
     assert _first_refusal(lambda: table.poly(FAULT_TOP)) == FAULT_MATRIX[fault]
     if kind == "chi":
         assert not verify_defining_identity(row, table).equal

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -294,7 +295,66 @@ def test_same_block_masks_match_cover_closure(n):
     [(build_partition_lattice, n) for n in range(2, 7)] + [(boolean_lattice, n) for n in range(1, 6)],
 )
 def test_generic_kl_matches_chi_form(make, n):
-    assert kl_polynomial_generic(make(n)) == chi_form_kl(make(n))
+    L, ref = make(n), make(n)
+    assert kl_polynomial_generic(L) == chi_form_kl(ref)
+    assert L._kl_upper == ref._kl_upper
+
+
+def relabeled(L: RankedLattice, perm: list[int]) -> RankedLattice:
+    """The same lattice with element i moved to index perm[i]."""
+    size = len(L)
+    elements, ranks, ups = [None] * size, [0] * size, [0] * size
+    for i, mask in enumerate(L.up):
+        elements[perm[i]] = L.elements[i]
+        ranks[perm[i]] = L.ranks[i]
+        ups[perm[i]] = sum(1 << perm[j] for j in _iter_bits(mask))
+    return RankedLattice(elements, ranks, ups)
+
+
+def relabelings(size: int, seed: int) -> list[list[int]]:
+    # index order reversed, which lists every lattice built here top rank
+    # first, then two seeded shuffles
+    rng = random.Random(seed)
+    perms = [list(range(size - 1, -1, -1))]
+    for _ in range(2):
+        perm = list(range(size))
+        rng.shuffle(perm)
+        perms.append(perm)
+    return perms
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(build_partition_lattice, n) for n in range(3, 7)]
+    + [(boolean_lattice, n) for n in range(1, 6)]
+    + [(uniform_corank_one_lattice, d) for d in range(1, 7)],
+)
+def test_generic_kl_is_invariant_under_relabeling(make, n):
+    # the solve goes rank by rank and reads masks from the lowest index
+    # solved, so no index order may change the answer or any entry
+    L = make(n)
+    want = kl_polynomial_generic(L)
+    for perm in relabelings(len(L), seed=n):
+        M = relabeled(L, perm)
+        assert kl_polynomial_generic(M) == want
+        assert M._kl_upper == {perm[e]: p for e, p in L._kl_upper.items()}
+
+
+def test_generic_kl_is_invariant_under_relabeling_with_prefilled_entries():
+    # the pre-filled table of test_generic_kl_groups_by_w_as_well_as_t
+    L = build_partition_lattice(4)
+    for e in range(1, len(L)):
+        L._kl_upper[e] = IntPoly.one()
+    for shape, p in (([2, 2], IntPoly([3])), ([1, 3], IntPoly())):
+        f = next(f for f in L.elements_of_rank(2) if sorted(map(len, L.elements[f])) == shape)
+        L._kl_upper[f] = p
+    prefilled = dict(L._kl_upper)
+    assert kl_polynomial_generic(L) == IntPoly([1, 2])
+    for perm in relabelings(len(L), seed=4):
+        M = relabeled(build_partition_lattice(4), perm)
+        M._kl_upper.update((perm[e], p) for e, p in prefilled.items())
+        assert kl_polynomial_generic(M) == IntPoly([1, 2])
+        assert M._kl_upper == {perm[e]: p for e, p in L._kl_upper.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,10 +517,18 @@ def test_from_relation_validation():
     ([0, 1, 2], [0, 0, 1], [0b101, 0b110, 0b100], "unique bottom and top"),
     ([0, 1], [1, 2], [0b11, 0b10], "bottom must have rank 0"),
     ([0, 1], [0, 2], [0b11, 0b10], "not graded: no element has rank 1"),
+    ([0, 1], [0, 1], [0b110, 0b10], "must be reflexive"),
+    ([0, 1], [0, 0], [0b111, 0b10], "rank must strictly increase"),
 ])
 def test_lattice_validation_messages(elements, ranks, ups, message):
     with pytest.raises(ValueError, match=message):
         RankedLattice(elements, ranks, ups)
+
+
+def test_lattice_listed_top_first_is_valid():
+    L = RankedLattice([0, 1], [1, 0], [0b01, 0b11])
+    assert (L.bottom, L.top) == (1, 0)
+    assert kl_polynomial_generic(L) == IntPoly.one()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
