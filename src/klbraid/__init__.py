@@ -8,9 +8,9 @@ test suite and the ``klb selftest`` command play against each other:
   both halves of the defining identity, whole rows for `kl_braid_poly`
   and only the entries a single coefficient needs for `kl_coeff`;
 * a closed summation over an index set of partition chains, grouped by
-  the exponential formula into sums of products of Stirling numbers of
-  both kinds, with the triples enumerated only to list and audit it
-  (`kl_coeff_via_chains`, `enumerate_K`);
+  the exponential formula into coefficients of block-count polynomials
+  that it steps from no Stirling number, with the triples enumerated only
+  to list and audit it (`kl_coeff_via_chains`, `enumerate_K`);
 * closed forms in Stirling numbers of the second kind: a two-term
   expression for i = 1 (`kl_c1`) and an alternating sum over flag
   Whitney numbers, summed as a chain (`kl_coeff_via_pxy`);

@@ -13,19 +13,21 @@ routes agreeing is one of the package's core cross-checks.
 The sum is computed through the index set's own recursion, grouped.  A
 triple is a head (lam_1, alpha_1, xi_1) followed by a triple for
 (length(lam_1), xi_1), and the conditions on a head see lam_1 only through
-l = length(lam_1).  Grouping the heads by l, the exponential formula
-(Stanley, EC2 section 5.1, applied to the falling factorials
-sum_{d=1..b} s(b, d) x^d) sums the links of every partition of n with l
-blocks at total T to one product of Stirling numbers of both kinds:
+l = length(lam_1).  By the exponential formula (Stanley, EC2 section 5.1)
+the links of the partitions of n with l blocks at total T sum to
+s(n, T) * S(T, l) = [t^(T-l)]B_{n,l}, where B_{n,l}(t) sums prod_b chi_{|b|}
+over the set partitions of an n-set into l blocks.  So C_{n,i} sums
+E_{n,l,d} * C_{l,xi_1} (C_{l,0} = 1) over l <= max(1, 2i) and xi_1, where
+E_{m,l,d} = [t^(m-l-d)]B_{m,l} and 0 <= d = i + xi_1 + 1 - l <= i: B is read
+only near its top, where the recurrence of ``partitions.chi_block_row`` reads
 
-    sum over lam |- n, length(lam) = l of link(lam, T) = s(n, T) * S(T, l).
+    E_{m,l,d} = l * E_{m-1,l,d} - (m-1) * E_{m-1,l,d-1} + E_{m-1,l-1,d}.
 
-So C_{n,i} = sum over l and xi_1 of s(n, alpha_1 + l) * S(alpha_1 + l, l)
-times C_{l,xi_1}, or times 1 when xi_1 = 0, with alpha_1 = n - 1 - i - xi_1
-and 0 <= alpha_1 <= n - l: O(i^2) Stirling products, since l <= max(1, 2i).
-That sum is ``kl_recursion.chain_sum``, which also checks each coefficient
-the recursion fills; here it reads C_{l,xi_1} from a memo of its own, per
-(n, i), and builds no partition and no triple.
+So ``kl_coeff_via_chains`` is one pass over rows m = 2..n from
+E_{1,1,0} = 1 that reads no Stirling number: O(n * i^2) operations on
+O(i^2) integers, plus O(i^4) for the C_{l,xi_1}, which come from the same
+pass at rows l <= 2i.  The recursion checks each coefficient against this
+sum in Stirling numbers and shares no code with the pass.
 
 Triples are built only to list the sum (``enumerate_K``) and to render it
 term by term.  ``symbolic_expansion`` groups the terms by the top partition
@@ -42,33 +44,43 @@ from typing import NamedTuple
 
 from .chains import KLChainTriple, check_index, enumerate_K
 from .errors import InternalConsistencyError
-from .kl_recursion import chain_sum
 from .partitions import IntPartition, bounded_compositions, multiplicity
 from .stirling import stirling_first
 
 
-# The memo takes no lock: two threads racing on one key store equal values.
-_grouped_sums: dict[tuple[int, int], int] = {}
-
-
-def _grouped_sum(n: int, i: int) -> int:
-    """C_{n,i} as the chain sum over the chain memo, memoized."""
-    value = _grouped_sums.get((n, i))
-    if value is None:
-        value = _grouped_sums[n, i] = chain_sum(n, i, lambda l, x: _grouped_sum(l, x) if x else 1)
-    return value
+def _edge_step(edge: list[list[int]], m: int) -> None:
+    """E_{m-1,l,d} to E_{m,l,d}, l descending so that edge[l - 1] is row m-1's."""
+    for l in range(min(m, len(edge) - 1), 0, -1):
+        row = edge[l]
+        edge[l] = [l * e - (m - 1) * lower + below
+                   for e, lower, below in zip(row, [0, *row], edge[l - 1])]
 
 
 def kl_coeff_via_chains(n: int, i: int) -> int:
-    """C_{n,i} as the chain sum collapsed to Stirling numbers of both kinds
-    (module docstring): ``kl_recursion.chain_sum`` with each C_{l,xi_1} from
-    the chain memo, O(i^2) Stirling products and no partition.
-
-    Same domain as the enumeration, n >= 2 and 0 <= i < (n-1)/2; outside it
-    use the recursion, which just reads off a zero coefficient.
+    """C_{n,i} from the top edge of B (module docstring), with no Stirling
+    number, partition or triple, on the enumeration's domain n >= 2 and
+    0 <= i < (n-1)/2; outside it the recursion reads off a zero coefficient.
     """
     check_index(n, i)
-    return _grouped_sum(n, i)
+    top = max(1, 2 * i)
+    # edge[l][d] = E_{m,l,d} at row m for d <= i - l//2, all that the sum and
+    # the step read; edge[0] stays B_{m,0} = 0
+    edge = [[0] * (i + 1 - l // 2) for l in range(top + 1)]
+    edge[1][0] = 1
+    coeffs: dict[tuple[int, int], int] = {}  # C_{l,xi} for l <= 2i and xi > 0
+
+    def chain(m: int, k: int) -> int:
+        # C_{m,k} from row m of the edge, over chain_sum's ranges of l and xi
+        return sum(edge[l][k + xi + 1 - l] * (coeffs[l, xi] if xi else 1)
+                   for l in range(1, max(1, 2 * k) + 1)
+                   for xi in range(max(0, l - 1 - k), max(1, l // 2)))
+
+    for m in range(2, n + 1):
+        _edge_step(edge, m)
+        if m <= top:
+            for xi in range(1, (m - 2) // 2 + 1):
+                coeffs[m, xi] = chain(m, xi)
+    return chain(n, i)
 
 
 # --- worked-table rendering -------------------------------------------------

@@ -23,15 +23,15 @@ hits zero.  Note (v) forces every lam_j to have at least one block of size
 The index set is recursive: a triple for (n, i) is a head (lam_1, alpha_1,
 xi_1) allowed by (i), (iii), (v), (vi) and (vii), followed, when xi_1 > 0,
 by a triple for (length(lam_1), xi_1).  ``chain_heads`` walks the heads.
-Those conditions see lam_1 only through its length, so the chain sum
-(``kl_recursion.chain_sum``) applies them per length instead, as bounds on
-l and xi_1, and builds no partition or triple.  Triples are materialized
-only for listing (``enumerate_K``, behind the ``chains`` and ``expand``
-commands): each head is joined to the index set for its tail.  Tails are
-memoized for the call, so shared tails are built once and nothing is kept
-once the listing is returned.  Output is sorted into a canonical order: by
-chain length q, then by the partition chain in reverse lexicographic order,
-then by A.
+Those conditions see lam_1 only through its length, so the chain method
+and the recursion's ``chain_sum`` check apply them per length instead, as
+bounds on l and xi_1, and build no partition or triple.  Triples are
+materialized only for listing (``enumerate_K``, behind the ``chains`` and
+``expand`` commands): each head is joined to the index set for its tail.
+Tails are memoized for the call, so shared tails are built once and nothing
+is kept once the listing is returned.  Output is sorted into a canonical
+order: by chain length q, then by the partition chain in reverse
+lexicographic order, then by A.
 """
 
 from __future__ import annotations

@@ -1,30 +1,22 @@
 """The self-test battery behind ``klb selftest``.
 
 Each check plays one route to C(n, i), or one ingredient of a route,
-against another: the Z-polynomial recursion, the Stirling chain sum, the
+against another: the Z-polynomial recursion, the chain sum, the
 second-kind closed forms and the explicit partition lattice.  A
 check is ``check_*(args, lattice) -> (ok, detail)``; ``lattice(n)`` builds
 the partition lattice of {1..n} once per run for every check that reads it.
 ``CHECKS`` sets the output order.  Only the ``selftest`` command imports
 this module.
 
-Not every pair is independent.  The recursion checks each coefficient
-against the chain sum, and the chain method runs the same function,
-``kl_recursion.chain_sum``: chain = recursion is one implementation over
-two memos (the table and the chain method's own) and one Stirling cache.
-The recursion is checked independently by the partition close of rows
-n <= ``PARTITION_CHECK_MAX_N``, which reads no Stirling number; by the
-lattice oracle; by the pxy sum, which combines second-kind numbers through
-flag Whitney counts rather than the Z-polynomial; and at i = 1 by the
-degree-one closed forms.  pxy is independent in code and formula but not
-in input: it reads only S, as the diagonal does, so pxy = recursion cannot
-catch a corrupted S entry (the close and the coefficient-k check can).  The
-close and ``defining_identity`` compute the one identity two ways: from a
-two-term recurrence for the rows of B, which reads no chi, and term by term
-over integer partitions, with their multiplicities and the chi products of
-the table's memo.  They share no input but the table's rows, so each checks
-the other's input too: a wrong chi entry fails ``defining_identity`` alone,
-and a wrong row of B fails the close alone.
+Not every pair is independent.  The chain method and the partition close
+of rows n <= ``PARTITION_CHECK_MAX_N`` read no Stirling number; the lattice
+oracle reads only the lattice.  pxy is independent in code and formula but
+reads only S, as the diagonal does, so pxy = recursion cannot catch a
+corrupted S entry (the chain method and the coefficient-k check can).  The close and ``defining_identity`` compute the
+one identity two ways, from a two-term recurrence for the rows of B, which
+reads no chi, and over integer partitions with a chi memo for the call, so
+a wrong chi entry fails ``defining_identity`` alone and a wrong row of B
+fails the close alone.
 """
 
 from __future__ import annotations

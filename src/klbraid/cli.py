@@ -28,11 +28,10 @@ from importlib import import_module
 from .errors import InternalConsistencyError, OracleBoundError
 
 DEFAULT_CHAIN_MAX_N = 60
-# --chain-max-n obeys up to this ceiling, since the chain sum grows both
-# Stirling triangles to row n, as the corollary and pxy do: `coeff 500 3
-# --method chain --chain-max-n 500` took 0.22-0.26 s of CPU and 67 MB in 3
-# fresh processes on a 2-core host.  Above the default it warns instead, as
-# at large i its memo costs about i^4/6 products.
+# --chain-max-n obeys up to this ceiling.  The chain reads no Stirling number
+# but costs about n*i^2 + i^4/6 big-integer products, so it warns above the
+# default: in fresh processes on a 2-core host `coeff 500 3 --method chain
+# --chain-max-n 500` took 0.08-0.13 s of CPU and 15 MB, and i = 60 2.2 s.
 CHAIN_SUM_MAX_N = 500
 # The recursion checks each coefficient against the defining identity, which
 # grows both Stirling triangles to row n and costs about n^4 products, in the
@@ -106,7 +105,7 @@ def _refusal(method: str, n: int, i: int, args) -> str | None:
             return f"chain method needs n >= 2 and 0 <= i < (n-1)/2; got n={n} i={i}"
         if n > CHAIN_SUM_MAX_N:
             return (f"chain method capped at n <= {CHAIN_SUM_MAX_N}, whatever --chain-max-n: "
-                    "it grows both Stirling triangles to row n")
+                    "its work grows as n*i^2 + i^4")
         if n > args.chain_max_n:
             return f"chain method capped at n <= {args.chain_max_n}; raise with --chain-max-n"
     elif method == "corollary":

@@ -17,9 +17,12 @@ entries with k <= i for every m <= n and builds no row; ``KLTable._solve``
 fills the rest of row m and returns P_m.  Palindromicity gives exactly as
 many equations as unknowns, so it checks nothing by itself.  Each new value
 must therefore also satisfy coefficients k and n-1-k of the defining
-identity, grouped by block count: by the exponential formula the flats with
-l blocks sum to B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, and the
-terms with l+j = r sum to s(n, r) * Z_r(t), so
+identity, grouped by block count.  The flats with l blocks sum to B_{n,l}(t),
+the sum of prod_b chi_{|b|} over the set partitions of an n-set into l
+blocks b, with chi_m the characteristic polynomial of the rank-(m-1)
+partition lattice (the falling factorial over t).  By the exponential
+formula B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, and the terms with
+l+j = r sum to s(n, r) * Z_r(t), so
 
     0 = C_{n,k} + R_{n,k} + sum_{r=k+1}^{n-1} s(n, r) * [t^k]Z_r,
     C_{n,k} = sum_{l<n} sum_xi s(n, a+l) * S(a+l, l) * C_{l,xi},  a = n-1-k-xi,
@@ -32,22 +35,17 @@ None of these checks is optional.  The first reads a per-table memo of
 that definition, so the memo fills bottom-up in n and an entry costs O(n)
 multiplications, with no partition or polynomial product.  The second is
 the chain sum, ``chain_sum``, O(k^2) Stirling products per entry and so
-O(n^4) per table; the chain method in ``chain_formula`` runs it too, reading
-C_{l,xi} from its own memo instead of the table.
+O(n^4) per table; the chain method steps the same weights as coefficients
+of B near its top, from no Stirling number (``chain_formula``).
 
 Those checks read the Stirling cache that the diagonal reads.  Rows
 n <= PARTITION_CHECK_MAX_N are also closed against the same identity,
-t^(n-1) * P_n(1/t) = sum_l B_{n,l}(t) * P_l(t), with B_{n,l} built from no
-Stirling number: it sums prod_b chi_{|b|} over the set partitions of an
-n-set into l blocks b, where chi_m is the characteristic polynomial of the
-rank-(m-1) partition lattice (the falling factorial over t).
-``partitions.chi_block_row`` builds row n of B from row n-1 alone by the
-two-term recurrence B_{n,l} = (l*t - (n-1)) * B_{n-1,l} + B_{n-1,l-1}, in
-O(n^2) coefficient operations, reading no chi and walking no integer
-partition.  The l = n term is P_n itself, and the others cost one product
-by P_l each.  ``verify_defining_identity`` sums the identity over integer
-partitions instead, term by term, at any n, with chi_lam from a memo that
-lives for the call:
+t^(n-1) * P_n(1/t) = sum_l B_{n,l}(t) * P_l(t), with row n of B built from
+row n-1 alone by ``partitions.chi_block_row``, which reads no chi and no
+Stirling number.  The l = n term is P_n itself, and the others cost one
+product by P_l each.  ``verify_defining_identity`` sums the identity over
+integer partitions instead, term by term, at any n, with chi_lam from a
+memo that lives for the call:
 
     t^(n-1) * P_n(1/t) = sum_{lam |- n} m(lam) * chi_lam(t) * P_{l(lam)}(t),
 

@@ -4,13 +4,12 @@ Everything here works from an explicit order relation, with no knowledge of
 the Stirling/partition identities used by the fast paths, which is what
 makes the cross-checks meaningful.  The order is stored as one bitmask per
 element (bit j of ``up[i]`` set iff element i <= element j), and the Moebius
-function is computed by straight summation over intervals.  Validation and
-the generic solve need no particular index order; the Moebius sums run in
-index order, so they need it to be a linear extension, as the partition
-lattice's rank-ascending order is.  The partition lattice's order is built
-from block containment: up[e] is the AND, over e's blocks, of the mask of
-partitions with a block containing that block.  The down masks are built
-only when the Moebius function asks.
+function is computed by straight summation over intervals, rank by rank so
+that each term is known when read: rank strictly increases along the order,
+so rank order is a linear extension whatever the index order.  The
+partition lattice's order is built from block containment: up[e] is the
+AND, over e's blocks, of the mask of partitions with a block containing
+that block.  The down masks are built only when the Moebius function asks.
 
 The Kazhdan-Lusztig recursion is solved directly on the lattice:
 
@@ -150,7 +149,7 @@ class RankedLattice:
         row = self._mobius_rows.get(x)
         if row is None:
             row = {x: 1}
-            for y in _iter_bits(self.up[x]):
+            for y in sorted(_iter_bits(self.up[x]), key=self.ranks.__getitem__):
                 if y == x:
                     continue
                 s = 0

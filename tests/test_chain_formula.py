@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from klbraid import chain_formula, kl_recursion
+from klbraid import chain_formula, kl_recursion, stirling
 from klbraid.chain_formula import (
     _link,
     group_values,
@@ -136,36 +136,52 @@ def test_degree_one_chain_values_match_closed_form():
 def test_chain_sum_vanishes_above_the_degree_bound():
     # the paper's identities between Stirling numbers of the first and the
     # second kind: the chain sum is 0 at every i from the degree bound
-    # (n-1)/2 to n-2, here over the chain method's own memo, not the table
-    def coeff(l, xi):
-        return chain_formula._grouped_sum(l, xi) if xi else 1
-
+    # (n-1)/2 to n-2, with each C_{l,xi} read from the recursion
     cells = [(n, i) for n in range(2, 41) for i in range(n // 2, n - 1)]
     assert len(cells) == 380
     for n, i in cells:
-        assert kl_recursion.chain_sum(n, i, coeff) == 0, (n, i)
+        assert kl_recursion.chain_sum(n, i, kl_coeff) == 0, (n, i)
 
 
-def test_chain_sum_walks_no_partition(monkeypatch):
+def _refuse_stirling_and_partitions(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the chain sum walked partitions")
+        raise AssertionError("the chain method read a Stirling number or walked partitions")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("klbraid"):
-            for attr in ("partitions_of", "multiplicity", "_link"):
+            for attr in ("partitions_of", "multiplicity", "_link",
+                         "stirling_first", "stirling_second"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
-    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
+    for attr in ("first", "second", "_grow_first", "_grow_second"):
+        monkeypatch.setattr(stirling.StirlingCache, attr, refuse)
+
+
+def test_chain_sum_walks_no_partition(monkeypatch):
+    _refuse_stirling_and_partitions(monkeypatch)
     for n in range(2, 41):
         assert kl_coeff_via_chains(n, 0) == 1
         for i in range(1, (n - 2) // 2 + 1):
             kl_coeff_via_chains(n, i)
 
 
+def test_chain_method_equals_fresh_whole_rows_without_stirling(monkeypatch):
+    # the recursion's rows are filled first, from a fresh table; the chain
+    # method then answers every cell with i <= 12 with no Stirling number
+    table = KLTable()
+    rows = {n: table.poly(n) for n in range(2, 101)}
+    _refuse_stirling_and_partitions(monkeypatch)
+    for n, row in rows.items():
+        for i in range(min(12, (n - 2) // 2) + 1):
+            assert kl_coeff_via_chains(n, i) == row.coeff(i), (n, i)
+
+
 def test_chain_sum_walks_only_heads_that_exist(monkeypatch):
     # a head with l >= 2 needs l <= 2i, so a small i at large n walks a few
     # l, not all n of them; a range shadowed in kl_recursion counts the l and
     # xi ranges that chain_sum opens, one xi range per l walked
+    table = KLTable()
+    table.poly(6)
     expected = kl_coeff(300, 3)
     calls = []
 
@@ -174,12 +190,13 @@ def test_chain_sum_walks_only_heads_that_exist(monkeypatch):
         return range(*args)
 
     monkeypatch.setattr(kl_recursion, "range", counting, raising=False)
-    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
-    assert kl_coeff_via_chains(300, 3) == expected
+    assert kl_recursion.chain_sum(300, 3, table._coeff) == expected
     assert 0 < len(calls) < 40
 
 
-def test_recursion_and_chain_method_share_the_chain_sum(monkeypatch):
+def test_chain_method_never_calls_chain_sum(monkeypatch):
+    # the recursion checks every entry with chain_sum; the chain method
+    # computes the same sum on its own, so the two are compared, not shared
     seen = []
     real = kl_recursion.chain_sum
 
@@ -188,13 +205,14 @@ def test_recursion_and_chain_method_share_the_chain_sum(monkeypatch):
         return real(n, i, coeff)
 
     monkeypatch.setattr(kl_recursion, "chain_sum", recording)
-    monkeypatch.setattr(chain_formula, "chain_sum", recording)
     KLTable().poly(12)
     assert sorted(seen) == [(m, k) for m in range(4, 13) for k in range(1, (m - 2) // 2 + 1)]
     seen.clear()
-    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
-    assert kl_coeff_via_chains(12, 4) == kl_coeff(12, 4)
-    assert (12, 4) in seen
+    for n in range(2, 31):
+        for i in range((n - 2) // 2 + 1):
+            assert kl_coeff_via_chains(n, i) == kl_coeff(n, i)
+    assert seen == []
+    assert not hasattr(chain_formula, "kl_recursion") and not hasattr(chain_formula, "chain_sum")
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -171,15 +171,38 @@ def test_corollary_cap_itself_answers():
 
 def test_chain_ceiling_fails_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
-        raise AssertionError("Stirling table grown despite the ceiling")
+        raise AssertionError("chain pass or Stirling table run despite the ceiling")
 
     monkeypatch.setattr(stirling.StirlingCache, "_grow_first", refuse)
     monkeypatch.setattr(stirling.StirlingCache, "_grow_second", refuse)
+    monkeypatch.setattr(chain_formula, "kl_coeff_via_chains", refuse)
     n = cli.CHAIN_SUM_MAX_N + 1
     assert cli.main(["coeff", str(n), "3", "--method", "chain", "--chain-max-n", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "Stirling triangles" in captured.err
+    assert "its work grows as n*i^2 + i^4" in captured.err
+
+
+# answers one request in a fresh process, then reports on stderr whether the
+# recursion was imported and how many rows each Stirling table holds
+_REPORT_IMPORTS = """
+import sys
+from klbraid import cli
+code = cli.main(sys.argv[1:])
+from klbraid import stirling
+cache = stirling._DEFAULT_CACHE
+print("klbraid.kl_recursion" in sys.modules, len(cache._first), len(cache._second), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_chain_method_runs_without_the_recursion_or_stirling():
+    proc = subprocess.run([sys.executable, "-c", _REPORT_IMPORTS, "coeff", "500", "3",
+                           "--method", "chain", "--chain-max-n", "500"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{whitney2.kl_coeff_via_pxy(500, 3)}\n"
+    assert proc.stderr.splitlines()[-1] == "False 1 1"
 
 
 def test_chain_ceiling_itself_answers():

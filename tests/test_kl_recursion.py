@@ -521,45 +521,78 @@ def test_fault_matrix(monkeypatch, fault):
         assert not verify_defining_identity(row, table).equal
 
 
-# Keyed by the chain method's input raised or dropped: ("memo", n, i) raises
-# the chain memo's C(n, i) by 1 once it is filled; ("drop", n, i, l, xi)
-# drops chain_sum(n, i)'s term at (l, xi) on both routes.  The value is the
-# recursion's first refusal in a fill to CHAIN_FAULT_TOP, then the first cell
-# (n, i) of the rows it filled where chain = recursion fails.  The recursion
-# never reads the chain memo, so only the agreement sees a raised entry; a
-# dropped term is the same on both routes, so only the recursion's own
-# `high` check refuses it.
+# Keyed by the input raised or dropped: ("S", n, k) and ("s", n, k) raise a
+# Stirling entry as test_fault_matrix does, ("B", n, l) the close's kept row
+# of B, ("edge", m, l, d) the chain pass's E_{m,l,d} right after its step to
+# row m, and ("drop", n, i, l, xi) drops chain_sum(n, i)'s term at (l, xi).
+# The value is the recursion's first refusal in a fill to CHAIN_FAULT_TOP,
+# then the first cell (n, i) of the rows it filled where chain = recursion
+# fails, then the first cell with n <= CHAIN_FAULT_TOP where the chain method
+# differs from the true value.  The chain method reads no Stirling number, no
+# row of B and no chain_sum, so only the recursion refuses those faults and
+# the chain method still answers every cell; a fault in its own pass reaches
+# no check but chain = recursion.
 CHAIN_FAULT_TOP = 30
 CHAIN_FAULT_MATRIX = {
-    ("memo", 9, 3): (None, (9, 3)),
-    ("memo", 25, 4): (None, (25, 4)),
-    ("drop", 9, 3, 4, 1): ((9, ("high",)), None),
-    ("drop", 25, 4, 1, 0): ((25, ("high",)), None),
+    ("S", 9, 2): ((9, ("low",)), None, None),
+    ("S", 30, 25): ((30, ("high",)), None, None),
+    ("s", 25, 7): ((25, ("low",)), None, None),
+    ("B", 12, 3): ((13, ("close",)), None, None),
+    ("edge", 9, 2, 1): (None, (9, 2), (9, 2)),
+    ("edge", 25, 4, 2): (None, (25, 4), (25, 4)),
+    ("drop", 9, 3, 4, 1): ((9, ("high",)), None, None),
+    ("drop", 25, 4, 1, 0): ((25, ("high",)), None, None),
 }
 
 
 @pytest.mark.parametrize("fault", list(CHAIN_FAULT_MATRIX),
                          ids=lambda f: "-".join(map(str, f)))
 def test_chain_fault_matrix(monkeypatch, fault):
-    kind, row, col, *term = fault
-    monkeypatch.setattr(chain_formula, "_grouped_sums", {})
-    if kind == "memo":
-        chain_formula.kl_coeff_via_chains(row, col)
-        chain_formula._grouped_sums[row, col] += 1
+    truth = KLTable()
+    truth.poly(CHAIN_FAULT_TOP)
+    kind, row, col, *rest = fault
+    if kind in ("S", "s"):
+        cache = _fresh_stirling_cache(monkeypatch)
+        cache.first(CHAIN_FAULT_TOP, 0)
+        cache.second(CHAIN_FAULT_TOP, 0)
+        (cache._second if kind == "S" else cache._first)[row][col] += 1
+    elif kind == "B":
+        real_solve = KLTable._solve
+
+        def solve_then_corrupt(self, m):
+            p = real_solve(self, m)
+            if m == row:
+                self._block_row[col] += IntPoly.one()
+            return p
+
+        monkeypatch.setattr(KLTable, "_solve", solve_then_corrupt)
+    elif kind == "edge":
+        real_step = chain_formula._edge_step
+
+        def step_then_corrupt(edge, m):
+            real_step(edge, m)
+            # a call whose band holds no E_{row,col,d} carries no fault
+            if m == row and col < len(edge) and rest[0] < len(edge[col]):
+                edge[col][rest[0]] += 1
+
+        monkeypatch.setattr(chain_formula, "_edge_step", step_then_corrupt)
     else:
-        real = kl_recursion.chain_sum
+        real_sum = kl_recursion.chain_sum
 
         def dropping(n, i, coeff):
             if (n, i) != (row, col):
-                return real(n, i, coeff)
-            return real(n, i, lambda l, x: 0 if [l, x] == term else coeff(l, x))
+                return real_sum(n, i, coeff)
+            return real_sum(n, i, lambda l, x: 0 if [l, x] == rest else coeff(l, x))
 
         monkeypatch.setattr(kl_recursion, "chain_sum", dropping)
-        monkeypatch.setattr(chain_formula, "chain_sum", dropping)
     table = KLTable()
     refusal = _first_refusal(lambda: table.poly(CHAIN_FAULT_TOP))
     disagreement = next(((n, i) for n in range(2, len(table._polys))
                          for i in range((n - 2) // 2 + 1)
                          if chain_formula.kl_coeff_via_chains(n, i) != table.poly(n).coeff(i)),
                         None)
-    assert (refusal, disagreement) == CHAIN_FAULT_MATRIX[fault]
+    chain_wrong = next(((n, i) for n in range(2, CHAIN_FAULT_TOP + 1)
+                        for i in range((n - 2) // 2 + 1)
+                        if chain_formula.kl_coeff_via_chains(n, i) != truth.poly(n).coeff(i)),
+                       None)
+    assert (refusal, disagreement, chain_wrong) == CHAIN_FAULT_MATRIX[fault]

@@ -331,13 +331,15 @@ def relabelings(size: int, seed: int) -> list[list[int]]:
 )
 def test_generic_kl_is_invariant_under_relabeling(make, n):
     # the solve goes rank by rank and reads masks from the lowest index
-    # solved, so no index order may change the answer or any entry
+    # solved, and the Moebius rows sum rank by rank, so no index order may
+    # change the answer, any entry or the characteristic polynomial
     L = make(n)
-    want = kl_polynomial_generic(L)
+    want, chi = kl_polynomial_generic(L), char_poly(L)
     for perm in relabelings(len(L), seed=n):
         M = relabeled(L, perm)
         assert kl_polynomial_generic(M) == want
         assert M._kl_upper == {perm[e]: p for e, p in L._kl_upper.items()}
+        assert char_poly(M) == chi
 
 
 def test_generic_kl_is_invariant_under_relabeling_with_prefilled_entries():
@@ -528,6 +530,18 @@ def test_lattice_validation_messages(elements, ranks, ups, message):
 def test_lattice_listed_top_first_is_valid():
     L = RankedLattice([0, 1], [1, 0], [0b01, 0b11])
     assert (L.bottom, L.top) == (1, 0)
+    assert kl_polynomial_generic(L) == IntPoly.one()
+
+
+def test_diamond_listed_top_first_has_its_moebius_function():
+    # index order is the reverse of every linear extension, so a Moebius sum
+    # in index order would read mu(bottom, a) before it is set
+    L = RankedLattice(["top", "a", "b", "bottom"], [2, 1, 1, 0],
+                      [0b0001, 0b0011, 0b0101, 0b1111])
+    assert (L.bottom, L.top) == (3, 0)
+    assert char_poly(L) == IntPoly([1, -2, 1])
+    assert mobius(L, L.bottom, L.top) == 1
+    assert [mobius(L, L.bottom, x) for x in (1, 2)] == [-1, -1]
     assert kl_polynomial_generic(L) == IntPoly.one()
 
 
