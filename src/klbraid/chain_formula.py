@@ -23,11 +23,11 @@ only near its top, where the recurrence of ``partitions.chi_block_row`` reads
 
     E_{m,l,d} = l * E_{m-1,l,d} - (m-1) * E_{m-1,l,d-1} + E_{m-1,l-1,d}.
 
-So ``kl_coeff_via_chains`` is one pass over rows m = 2..n from
-E_{1,1,0} = 1 that reads no Stirling number: O(n * i^2) operations on
-O(i^2) integers, plus O(i^4) for the C_{l,xi_1}, which come from the same
-pass at rows l <= 2i.  The recursion checks each coefficient against this
-sum in Stirling numbers and shares no code with the pass.
+So ``kl_chain_rows(n, top)`` is one pass over rows m = 2..n from E_{1,1,0} = 1
+that reads no Stirling number: O(n * top^2) operations on O(top^2) integers,
+plus O(top^4) for the rows C_{l,.} that the sum reads at l <= 2*top and the
+pass returns, with row n.  The recursion checks each coefficient against
+this sum in Stirling numbers and shares no code with the pass.
 
 Triples are built only to list the sum (``enumerate_K``) and to render it
 term by term.  ``symbolic_expansion`` groups the terms by the top partition
@@ -56,31 +56,33 @@ def _edge_step(edge: list[list[int]], m: int) -> None:
                    for e, lower, below in zip(row, [0, *row], edge[l - 1])]
 
 
-def kl_coeff_via_chains(n: int, i: int) -> int:
-    """C_{n,i} from the top edge of B (module docstring), with no Stirling
-    number, partition or triple, on the enumeration's domain n >= 2 and
-    0 <= i < (n-1)/2; outside it the recursion reads off a zero coefficient.
-    """
-    check_index(n, i)
-    top = max(1, 2 * i)
-    # edge[l][d] = E_{m,l,d} at row m for d <= i - l//2, all that the sum and
-    # the step read; edge[0] stays B_{m,0} = 0
-    edge = [[0] * (i + 1 - l // 2) for l in range(top + 1)]
+def kl_chain_rows(n: int, top: int) -> dict[int, list[int]]:
+    """P_m's coefficients up to t^top, keyed by m, for m = n and every
+    m <= min(n, 2*top + 3), whose whole index range lies within top: one pass
+    over the top edge of B (module docstring), with no Stirling number,
+    partition or triple, on the enumeration's domain 0 <= top < (n-1)/2."""
+    check_index(n, top)
+    # edge[l][d] = E_{m,l,d} for d <= top - l//2, all the sum and step read; edge[0] = B_{m,0} = 0
+    edge = [[0] * (top + 1 - l // 2) for l in range(max(2, 2 * top + 1))]
     edge[1][0] = 1
-    coeffs: dict[tuple[int, int], int] = {}  # C_{l,xi} for l <= 2i and xi > 0
+    rows = {1: [1]}
 
     def chain(m: int, k: int) -> int:
         # C_{m,k} from row m of the edge, over chain_sum's ranges of l and xi
-        return sum(edge[l][k + xi + 1 - l] * (coeffs[l, xi] if xi else 1)
+        return sum(edge[l][k + xi + 1 - l] * rows[l][xi]
                    for l in range(1, max(1, 2 * k) + 1)
                    for xi in range(max(0, l - 1 - k), max(1, l // 2)))
 
     for m in range(2, n + 1):
         _edge_step(edge, m)
-        if m <= top:
-            for xi in range(1, (m - 2) // 2 + 1):
-                coeffs[m, xi] = chain(m, xi)
-    return chain(n, i)
+        if m <= 2 * top + 3 or m == n:
+            rows[m] = [chain(m, k) for k in range(min(top, (m - 2) // 2) + 1)]
+    return rows
+
+
+def kl_coeff_via_chains(n: int, i: int) -> int:
+    """C_{n,i}, one cell of ``kl_chain_rows(n, i)``."""
+    return kl_chain_rows(n, i)[n][i]
 
 
 # --- worked-table rendering -------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement
 from math import factorial, perm
 
 from . import chain_formula, chains, kl_recursion, lattice_oracle, partitions, stirling, whitney2
-from .cli import DEFAULT_GENERIC_KL_BOUND, _coeff_index_count, _method_values
+from .cli import DEFAULT_GENERIC_KL_BOUND, _method_values
 
 
 def check_base_case(args, lattice):
@@ -111,10 +111,10 @@ def check_multiplicity_census(args, lattice):
 
 def check_method_grid(args, lattice):
     top = min(args.max_n, args.chain_max_n)
-    bad = [(n, i) for n in range(2, top + 1) for i in range(_coeff_index_count(n))
-           if chain_formula.kl_coeff_via_chains(n, i) != kl_recursion.kl_braid_poly(n).coeff(i)]
+    rows = chain_formula.kl_chain_rows(top, (top - 2) // 2)  # rows 1..top, from one pass
+    bad = [n for n in range(2, top + 1) if tuple(rows[n]) != kl_recursion.kl_braid_poly(n).coeffs]
     if bad:
-        return False, f"chain vs recursion mismatch at {bad[:5]}"
+        return False, f"chain vs recursion mismatch in rows {bad[:5]}"
     return True, f"chain vs recursion, n <= {top}"
 
 

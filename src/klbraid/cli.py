@@ -31,7 +31,7 @@ DEFAULT_CHAIN_MAX_N = 60
 # --chain-max-n obeys up to this ceiling.  The chain reads no Stirling number
 # but costs about n*i^2 + i^4/6 big-integer products, so it warns above the
 # default: in fresh processes on a 2-core host `coeff 500 3 --method chain
-# --chain-max-n 500` took 0.08-0.13 s of CPU and 15 MB, and i = 60 2.2 s.
+# --chain-max-n 500` took 0.08-0.15 s of CPU and 15 MB, and i = 60 1.3-2.1 s.
 CHAIN_SUM_MAX_N = 500
 # The recursion checks each coefficient against the defining identity, which
 # grows both Stirling triangles to row n and costs about n^4 products, in the
@@ -146,6 +146,8 @@ def _coeff_by_method(method: str, n: int, i: int, args) -> int:
     if method == "chain":
         if n > DEFAULT_CHAIN_MAX_N:
             _warn_once(args, f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow")
+        if n in args.chain_rows:
+            return args.chain_rows[n][i]
         from . import chain_formula
 
         return chain_formula.kl_coeff_via_chains(n, i)
@@ -222,6 +224,12 @@ def _table_rows(args):
     # (n, i, C(n, i), the (method, value) pairs that disagree with the recursion)
     from . import kl_recursion
 
+    # one chain pass, at the last row the chain answers, holds every chain cell
+    last = max((n for n in range(args.max_n + 1) if not _refusal("chain", n, 0, args)), default=0)
+    if args.all_methods and last:
+        from . import chain_formula
+
+        args.chain_rows = chain_formula.kl_chain_rows(last, (last - 2) // 2)
     rows = []
     for n in range(2, args.max_n + 1):
         for i in range(_coeff_index_count(n)):
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.warned = set()
+    args.warned, args.chain_rows = set(), {}
     try:
         return args.fn(args)
     except (UsageError, OracleBoundError) as exc:

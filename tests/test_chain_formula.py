@@ -10,6 +10,7 @@ from klbraid import chain_formula, kl_recursion, stirling
 from klbraid.chain_formula import (
     _link,
     group_values,
+    kl_chain_rows,
     kl_coeff_via_chains,
     symbolic_expansion,
 )
@@ -54,13 +55,6 @@ def _per_partition_chain_sum(n, i):
             value += link * _per_partition_chain_sum(lam.length, xi) if xi else link
         _reference_sums[key] = value
     return _reference_sums[key]
-
-
-def _chain_poly(n):
-    """P_n's coefficients, ascending, read from the chain method alone."""
-    if n == 1:
-        return [1]
-    return [kl_coeff_via_chains(n, i) for i in range((n - 2) // 2 + 1)]
 
 
 def test_base_value():
@@ -115,8 +109,8 @@ def test_grouped_sum_equals_per_partition_reference(n):
 def test_chain_rows_make_z_polynomials_palindromic():
     # Proudfoot-Xu-Young: Z_m(t) = sum_l S(m, l) t^(m-l) P_l(t) is palindromic
     # of degree m - 1, a theorem independent of both the chain formula and
-    # the recursion's defining identity
-    polys = [None] + [_chain_poly(n) for n in range(1, 101)]
+    # the recursion's defining identity; one chain pass holds P_1..P_100
+    polys = kl_chain_rows(100, 49)
     for m in range(1, 101):
         z = [0] * m
         for l in range(1, m + 1):
@@ -166,14 +160,30 @@ def test_chain_sum_walks_no_partition(monkeypatch):
 
 
 def test_chain_method_equals_fresh_whole_rows_without_stirling(monkeypatch):
-    # the recursion's rows are filled first, from a fresh table; the chain
-    # method then answers every cell with i <= 12 with no Stirling number
+    # the recursion's rows are filled first, from a fresh table; one chain
+    # pass then answers every cell with i <= 12 with no Stirling number
     table = KLTable()
     rows = {n: table.poly(n) for n in range(2, 101)}
     _refuse_stirling_and_partitions(monkeypatch)
+    chain_rows = kl_chain_rows(100, 49)
     for n, row in rows.items():
         for i in range(min(12, (n - 2) // 2) + 1):
-            assert kl_coeff_via_chains(n, i) == row.coeff(i), (n, i)
+            assert chain_rows[n][i] == row.coeff(i), (n, i)
+
+
+@pytest.mark.parametrize("n, top", [*((2 * top + d, top) for top in range(6) for d in (2, 3, 4)),
+                                    (150, 74)])
+def test_chain_rows_are_the_recursion_rows_cut_at_top(monkeypatch, n, top):
+    # one pass returns every row whose whole index range lies within top, and
+    # row n, each P_m cut at t^top, and reads no Stirling number
+    table = KLTable()
+    want = {m: list(table.poly(m).coeffs[:top + 1])
+            for m in [*range(1, min(n, 2 * top + 3) + 1), n]}
+    _refuse_stirling_and_partitions(monkeypatch)
+    assert kl_chain_rows(n, top) == want
+    for bad in (-1, n // 2):
+        with pytest.raises(ValueError):
+            kl_chain_rows(n, bad)
 
 
 def test_chain_sum_walks_only_heads_that_exist(monkeypatch):
@@ -243,6 +253,8 @@ def test_rejects_out_of_range():
         kl_coeff_via_chains(6, 3)
     with pytest.raises(ValueError):
         kl_coeff_via_chains(1, 0)
+    with pytest.raises(ValueError):
+        kl_chain_rows(1, 0)
 
 
 def test_term_values_sum_to_coefficient():

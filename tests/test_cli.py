@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from klbraid import chain_formula, chains, cli, kl_recursion, lattice_oracle, stirling, whitney2
+from klbraid import (chain_formula, chains, checks, cli, kl_recursion, lattice_oracle, stirling,
+                     whitney2)
 from klbraid.kl_recursion import kl_braid_poly
 from klbraid.polynomial import IntPoly
 
@@ -209,6 +210,42 @@ def test_chain_ceiling_itself_answers():
     n = cli.CHAIN_SUM_MAX_N
     out = run_cli("coeff", str(n), "1", "--method", "chain", "--chain-max-n", str(n)).stdout
     assert out == f"{2 ** (n - 1) - 1 - n * (n - 1) // 2}\n"
+
+
+def test_table_and_method_grid_make_one_chain_pass(monkeypatch, capsys):
+    # a pass steps the edge to row 2 once, whatever its top
+    passes = []
+    real_step = chain_formula._edge_step
+
+    def counting(edge, m):
+        passes.append(m == 2)
+        real_step(edge, m)
+
+    monkeypatch.setattr(chain_formula, "_edge_step", counting)
+    assert cli.main(["table", "--max-n", "40", "--all-methods", "--chain-max-n", "40"]) == 0
+    assert sum(passes) == 1
+    passes.clear()
+    args = cli.build_parser().parse_args(["selftest", "--max-n", "40", "--chain-max-n", "40"])
+    assert checks.check_method_grid(args, None) == (True, "chain vs recursion, n <= 40")
+    assert sum(passes) == 1
+    capsys.readouterr()
+
+
+def test_table_names_the_cells_of_a_raised_edge_entry(monkeypatch, capsys):
+    # E_{9,2,1} raised by one in the table's one chain pass reaches C(9,2)
+    # first, then the rows above it
+    real_step = chain_formula._edge_step
+
+    def step_then_corrupt(edge, m):
+        real_step(edge, m)
+        if m == 9:
+            edge[2][1] += 1
+
+    monkeypatch.setattr(chain_formula, "_edge_step", step_then_corrupt)
+    assert cli.main(["table", "--max-n", "14", "--all-methods", "--chain-max-n", "14"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "disagreement at C(9,2): [('chain', 6770)]"
+    assert len(err) == 19 and all(line.startswith("disagreement at C(") for line in err)
 
 
 @pytest.mark.parametrize("n, i", [
