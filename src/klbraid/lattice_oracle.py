@@ -2,14 +2,14 @@
 
 Everything here works from an explicit order relation, with no knowledge of
 the Stirling/partition identities used by the fast paths, which is what
-makes the cross-checks meaningful.  The order is stored as one bitmask per
-element (bit j of ``up[i]`` set iff element i <= element j), and the Moebius
-function is computed by straight summation over intervals, rank by rank so
-that each term is known when read: rank strictly increases along the order,
-so rank order is a linear extension whatever the index order.  The
-partition lattice's order is built from block containment: up[e] is the
-AND, over e's blocks, of the mask of partitions with a block containing
-that block.  The down masks are built only when the Moebius function asks.
+makes the cross-checks meaningful.  The order is stored once, as one bitmask
+per element (bit j of ``up[i]`` set iff element i <= element j), next to one
+mask per rank.  Rank strictly increases along the order, so reading an
+up-set rank by rank follows a linear extension whatever the index order:
+the Moebius function pushes each value up the up masks that way, and the
+flag counts step from one rank to the next.  The partition lattice's order
+is built from block containment: up[e] is the AND, over e's blocks, of the
+mask of partitions with a block containing that block.
 
 The Kazhdan-Lusztig recursion is solved directly on the lattice:
 
@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator, Sequence
-from functools import cached_property
-from itertools import repeat, zip_longest
+from itertools import accumulate, repeat, zip_longest
+from operator import or_
 
 from .errors import InternalConsistencyError, OracleBoundError
 from .partitions import set_partitions_of
@@ -51,10 +51,21 @@ _SLICE = 512
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
+    # shifting each found bit out keeps the operands as short as what is left
+    i = -1
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        step = (mask & -mask).bit_length()
+        i += step
+        yield i
+        mask >>= step
+
+
+def _mask(indices: Sequence[int]) -> int:
+    # the bitmask of the given indices, spelled out in binary digits
+    digits = bytearray(b"0") * (max(indices) + 1)
+    for i in indices:
+        digits[i] = ord("1")
+    return int(digits[::-1], 2)
 
 
 class RankedLattice:
@@ -67,8 +78,8 @@ class RankedLattice:
     element.  Index order need not be rank order.  Reflexivity and strict
     rank increase are checked together, by one AND per element with the mask
     of every element of rank at most its own, which must leave the element
-    alone; the per-rank masks are set a bit at a time in bytearrays.  The
-    down masks, which only the Moebius function reads, are built on first use.
+    alone.  The per-rank masks built for that check are kept as the rank
+    index that everything else reads.
 
     Gradedness is checked only that far: a rank function need not be the
     height, and the generic solve keys Q by rank as well as by what lies
@@ -85,18 +96,12 @@ class RankedLattice:
         self.elements = list(elements)
         self.ranks = list(ranks)
         self.up = list(up_masks)
-        width = (n + 7) >> 3
-        rank_bufs: dict[int, bytearray] = {}
+        of_rank: dict[int, list[int]] = {}
         for i, r in enumerate(self.ranks):
-            buf = rank_bufs.get(r)
-            if buf is None:
-                buf = rank_bufs[r] = bytearray(width)
-            buf[i >> 3] |= 1 << (i & 7)
-        at_most: dict[int, int] = {}
-        acc = 0
-        for r in sorted(rank_bufs):
-            acc |= int.from_bytes(rank_bufs[r], "little")
-            at_most[r] = acc
+            of_rank.setdefault(r, []).append(i)
+        # rank -> mask of the elements of that rank, in increasing rank
+        self._rank_mask = {r: _mask(of_rank[r]) for r in sorted(of_rank)}
+        at_most = dict(zip(self._rank_mask, accumulate(self._rank_mask.values(), or_)))
         top_mask = full
         for i, mask in enumerate(self.up):
             # of the elements of rank at most rank(i), i's up-set holds i alone
@@ -116,21 +121,11 @@ class RankedLattice:
         if self.ranks[self.bottom] != 0:
             raise ValueError("bottom must have rank 0")
         # every rank lies in 0..rank(top), so a graded lattice holds each one
-        missing = set(range(self.ranks[self.top])) - rank_bufs.keys()
+        missing = set(range(self.ranks[self.top])) - self._rank_mask.keys()
         if missing:
             raise ValueError(f"not graded: no element has rank {min(missing)}")
         self._mobius_rows: dict[int, dict[int, int]] = {}
         self._kl_upper: dict[int, IntPoly] = {}
-
-    @cached_property
-    def down(self) -> list[int]:
-        """Down masks: bit i of ``down[j]`` set iff element i <= element j."""
-        down = [0] * len(self.up)
-        for i, mask in enumerate(self.up):
-            bit = 1 << i
-            for j in _iter_bits(mask):
-                down[j] |= bit
-        return down
 
     def __len__(self):
         return len(self.elements)
@@ -143,20 +138,22 @@ class RankedLattice:
         return bool((self.up[x] >> y) & 1)
 
     def elements_of_rank(self, r: int) -> list[int]:
-        return [i for i, rk in enumerate(self.ranks) if rk == r]
+        return list(_iter_bits(self._rank_mask.get(r, 0)))
 
     def _mobius_row(self, x: int) -> dict[int, int]:
+        # each z above x, rank by rank, takes mu(x, z) = -(the sum pushed into
+        # it) and pushes that value into every element strictly above it; all
+        # of those have higher rank, so each sum is whole when it is read
         row = self._mobius_rows.get(x)
         if row is None:
-            row = {x: 1}
-            for y in sorted(_iter_bits(self.up[x]), key=self.ranks.__getitem__):
-                if y == x:
-                    continue
-                s = 0
-                for a in _iter_bits(self.up[x] & self.down[y]):
-                    if a != y:
-                        s += row[a]
-                row[y] = -s
+            row = {}
+            pushed = [0] * len(self.up)
+            pushed[x] = -1  # so that mu(x, x) = 1
+            for r in range(self.ranks[x], self.rank + 1):
+                for z in _iter_bits(self.up[x] & self._rank_mask[r]):
+                    mu = row[z] = -pushed[z]
+                    for y in _iter_bits(self.up[z] ^ (1 << z)):
+                        pushed[y] += mu
             self._mobius_rows[x] = row
         return row
 
@@ -296,15 +293,10 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     classes: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     masks: list[int] = []
-    of_rank: dict[int, list[int]] = {}
-    for e, r in enumerate(L.ranks):
-        of_rank.setdefault(r, []).append(e)
     lo = len(L)  # lowest index solved so far
-    for r in sorted(of_rank, reverse=True):
-        at_rank = of_rank[r]
-        base = at_rank[0] & ~7
-        width = ((at_rank[-1] - base) >> 3) + 1
-        members: dict[int, bytearray] = {}  # class -> this rank's elements in it
+    for r in range(L.rank, -1, -1):
+        at_rank = L.elements_of_rank(r)
+        members: dict[int, list[int]] = {}  # class -> this rank's elements in it
         # counts per class of higher rank -> (Q, solved P, identity closes, value)
         solved: dict[tuple[int, ...], tuple] = {}
         for e, counts in _class_counts(L, at_rank, masks, lo):
@@ -336,12 +328,9 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
                 c = classes[value] = len(values)
                 values.append(value)
                 masks.append(0)
-            buf = members.get(c)
-            if buf is None:
-                buf = members[c] = bytearray(width)
-            buf[(e - base) >> 3] |= 1 << ((e - base) & 7)
-        for c, buf in members.items():
-            masks[c] |= int.from_bytes(buf, "little") << base
+            members.setdefault(c, []).append(e)
+        for c, in_class in members.items():
+            masks[c] |= _mask(in_class)
         lo = min(lo, at_rank[0])
     return cache[L.bottom]
 
@@ -384,13 +373,9 @@ def flag_whitney_bruteforce(L: RankedLattice, ranks: Sequence[int]) -> int:
         return 1
     counts = {x: 1 for x in L.elements_of_rank(ranks[0])}
     for r in ranks[1:]:
-        nxt = {}
-        for y in L.elements_of_rank(r):
-            s = 0
-            for x, c in counts.items():
-                if L.leq(x, y):
-                    s += c
-            if s:
-                nxt[y] = s
+        nxt: dict[int, int] = {}
+        for x, c in counts.items():
+            for y in _iter_bits(L.up[x] & L._rank_mask[r]):
+                nxt[y] = nxt.get(y, 0) + c
         counts = nxt
     return sum(counts.values())

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from klbraid.lattice_oracle import (
 from klbraid.partitions import _set_partitions_unchecked, shape_of
 from klbraid.polynomial import IntPoly
 from klbraid.stirling import partition_char_poly, stirling_second
+from klbraid.whitney2 import flag_whitney_product
 
 
 def from_relation(elements, ranks, leq) -> RankedLattice:
@@ -164,8 +165,9 @@ def chi_form_kl(L: RankedLattice) -> IntPoly:
             if f == e:
                 continue
             chi = [0] * (L.ranks[f] - L.ranks[e] + 1)
-            for a in _iter_bits(L.up[e] & L.down[f]):
-                chi[L.ranks[f] - L.ranks[a]] += row[a]
+            for a in _iter_bits(L.up[e]):
+                if L.leq(a, f):
+                    chi[L.ranks[f] - L.ranks[a]] += row[a]
             q = q + IntPoly(chi) * cache[f]
         p = IntPoly([-q.coeff(j) for j in range((rk_e + 1) // 2)])
         if p.reverse(rk_e) - p != q:
@@ -545,12 +547,53 @@ def test_diamond_listed_top_first_has_its_moebius_function():
     assert kl_polynomial_generic(L) == IntPoly.one()
 
 
+def mobius_by_intervals(L: RankedLattice) -> dict[tuple[int, int], int]:
+    # reference: mu(x, y) = -sum of mu(x, z) over x <= z < y, by memoized
+    # recursion over intervals, reading the order through leq alone
+    memo: dict[tuple[int, int], int] = {}
+
+    def mu(x: int, y: int) -> int:
+        if (x, y) not in memo:
+            if not L.leq(x, y):
+                memo[x, y] = 0
+            elif x == y:
+                memo[x, y] = 1
+            else:
+                memo[x, y] = -sum(mu(x, z) for z in range(len(L))
+                                  if z != y and L.leq(x, z) and L.leq(z, y))
+        return memo[x, y]
+
+    return {(x, y): mu(x, y) for x in range(len(L)) for y in range(len(L))}
+
+
+@pytest.mark.parametrize("L", [
+    *(build_partition_lattice(n) for n in range(2, 6)),
+    relabeled(build_partition_lattice(4), list(range(15))[::-1]),  # Bell(4) = 15
+    RankedLattice(["top", "a", "b", "bottom"], [2, 1, 1, 0], [0b0001, 0b0011, 0b0101, 0b1111]),
+    boolean_lattice(3),
+], ids=["pi2", "pi3", "pi4", "pi5", "pi4-reversed", "diamond-top-first", "boolean3"])
+def test_mobius_matches_interval_recursion_entry_by_entry(L):
+    want = mobius_by_intervals(L)
+    assert {(x, y): mobius(L, x, y) for x in range(len(L)) for y in range(len(L))} == want
+
+
 @pytest.mark.parametrize("n", range(2, 7))
-def test_down_masks_transpose_up_masks(n):
+def test_elements_of_rank_matches_scan_on_any_index_order(n):
     L = build_partition_lattice(n)
-    for x in range(len(L)):
-        for y in range(len(L)):
-            assert (L.down[y] >> x) & 1 == (L.up[x] >> y) & 1
+    for M in [L] + [relabeled(L, perm) for perm in relabelings(len(L), seed=n)]:
+        for r in range(-1, M.rank + 2):
+            assert M.elements_of_rank(r) == [i for i, k in enumerate(M.ranks) if k == r]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_flag_whitney_bruteforce_on_any_index_order(n):
+    # criterion 07 compares the two on the builder's index order only
+    L = build_partition_lattice(n)
+    for perm in relabelings(len(L), seed=n):
+        M = relabeled(L, perm)
+        for length in range(M.rank + 2):
+            for I in combinations_with_replacement(range(M.rank + 1), length):
+                assert flag_whitney_bruteforce(M, I) == flag_whitney_product(n, I), (perm, I)
 
 
 def test_flag_whitney_bruteforce_edges():
