@@ -35,8 +35,8 @@ DEFAULT_CHAIN_MAX_N = 60
 CHAIN_SUM_MAX_N = 500
 # The recursion checks each coefficient against the defining identity, which
 # grows both Stirling triangles to row n and costs about n^4 products, in the
-# chain sum: a cold `poly 100` took 1.0-1.5 s of CPU and 16 MB in 7 fresh
-# processes on a 2-core host, `kl_braid_poly(120)` 1.9-2.8 s in 5.
+# chain sum: a cold `poly 100` took 0.52-1.06 s of CPU and 16 MB in 7 fresh
+# processes on a 2-core host, `kl_braid_poly(120)` 1.0-1.1 s in 5.
 RECURSION_MAX_N = 100
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.

@@ -7,7 +7,11 @@ t^k in the falling factorial t(t-1)...(t-n+1), so its sign is (-1)^(n-k).
 ``stirling_second(n, k)`` counts set partitions of an n-set into k blocks.
 Both satisfy the usual triangular recurrences and both are cached in a
 grow-only table (``StirlingCache``), guarded by a lock so that concurrent
-readers can share one instance.
+readers can share one instance.  ``stirling_rows(n)`` hands out the live
+triangles, grown through row n, to callers that read many entries.  A row
+is never mutated once appended, and callers must not mutate it either; they
+index only rows 0..n and entries 0..r of row r, since entries outside the
+triangle are not stored and a negative index wraps silently.
 
 ``falling_factorial_poly`` deliberately does *not* consult the cache: it
 expands the product (t)(t-1)...(t-n+1) directly.  Its coefficients equaling
@@ -65,6 +69,16 @@ class StirlingCache:
             self._grow_second(n)
         return self._second[n][k]
 
+    def rows(self, n: int) -> tuple[list[list[int]], list[list[int]]]:
+        """Both live triangles (first kind, second kind), grown through row n."""
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n >= len(self._first):
+            self._grow_first(n)
+        if n >= len(self._second):
+            self._grow_second(n)
+        return self._first, self._second
+
     def _grow_first(self, n):
         with self._lock:
             while len(self._first) <= n:
@@ -99,6 +113,12 @@ def stirling_first(n: int, k: int) -> int:
 def stirling_second(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
     return _DEFAULT_CACHE.second(n, k)
+
+
+def stirling_rows(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The default cache's triangles (s, S), grown through row n; read only
+    entries 0..r of rows r <= n."""
+    return _DEFAULT_CACHE.rows(n)
 
 
 def stirling_first_nonrecursive(n: int, m: int) -> int:

@@ -64,12 +64,14 @@ def test_coefficients_positive():
 
 
 def test_negative_coefficient_is_rejected(monkeypatch):
-    # with every S(n, k) negated, C(4, 1) = -1 satisfies both identity
-    # checks, since each of their terms reads one S, so only the sign check
-    # can refuse it
+    # with every S(n, k) of rows n <= 4 negated, C(4, 1) = -1 satisfies both
+    # identity checks, since each of their terms reads one S, so only the
+    # sign check can refuse it
+    cache = _fresh_stirling_cache(monkeypatch)
+    _, second = cache.rows(4)
+    for row in second:
+        row[:] = [-entry for entry in row]
     table = KLTable()
-    real = kl_recursion.stirling_second
-    monkeypatch.setattr(kl_recursion, "stirling_second", lambda n, k: -real(n, k))
     with pytest.raises(InternalConsistencyError, match=r"t\^1 negative at n=4: -1"):
         table.poly(4)
     assert len(table._polys) == 4
@@ -271,6 +273,16 @@ def test_single_coefficients_equal_whole_rows_to_100():
     assert [table.poly(n) for n in range(1, 101)] == [fresh.poly(n) for n in range(1, 101)]
 
 
+def test_single_coefficients_equal_whole_rows_to_150():
+    # the same tie past the CLI's cap, coefficients first on their own table
+    table = KLTable()
+    fresh = KLTable()
+    for i in range(13):
+        for n in range(1, 151):
+            assert kl_coeff(n, i, table) == fresh.poly(n).coeff(i), (n, i)
+    assert len(table._polys) == 2
+
+
 def test_rows_and_coefficients_share_one_memo(monkeypatch):
     solved = []
     real = KLTable._solve_diagonal
@@ -342,19 +354,20 @@ def test_rows_and_coefficients_fill_one_table_concurrently():
 def test_row_fill_reads_each_stirling_product_once(monkeypatch):
     # a cold row fill to 30 reads 16,093 Stirling numbers, each [t^k]Z_r
     # formed once per table; one read of s(m, l+j) * S(l+j, l) per entry k
-    # instead reads 57,582
+    # instead reads 57,582.  Every entry read goes through a row's
+    # __getitem__, counted here in a cache already grown to 30.
     reads = [0]
 
-    def counted(real):
-        def read(n, k):
+    class CountedRow(list):
+        def __getitem__(self, k):
             reads[0] += 1
-            return real(n, k)
-        return read
+            return super().__getitem__(k)
 
-    monkeypatch.setattr(kl_recursion, "stirling_first", counted(kl_recursion.stirling_first))
-    monkeypatch.setattr(kl_recursion, "stirling_second", counted(kl_recursion.stirling_second))
+    cache = _fresh_stirling_cache(monkeypatch)
+    for triangle in cache.rows(30):
+        triangle[:] = [CountedRow(row) for row in triangle]
     KLTable().poly(30)
-    assert reads[0] <= 19_000
+    assert reads[0] == 16_093
 
 
 def test_diagonal_walks_no_partition(cold, monkeypatch):

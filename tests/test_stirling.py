@@ -13,6 +13,7 @@ from klbraid.stirling import (
     partition_char_poly,
     stirling_first,
     stirling_first_nonrecursive,
+    stirling_rows,
     stirling_second,
 )
 
@@ -143,6 +144,66 @@ def test_private_cache_instance_is_independent(monkeypatch):
     assert stirling_second(7, 3) == 301
     # the shared default cache is untouched
     assert stirling_first(7, 3) == falling_factorial_poly(7).coeff(3)
+
+
+def test_rows_are_the_live_triangles(monkeypatch):
+    first, second = stirling_rows(12)
+    for n in range(13):
+        assert first[n] == [stirling_first(n, k) for k in range(n + 1)]
+        assert second[n] == [stirling_second(n, k) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        stirling_rows(-1)
+    # the accessor reads the module's default cache at call time, and hands
+    # out its live lists, not copies
+    cache = StirlingCache()
+    with monkeypatch.context() as m:
+        m.setattr(stirling, "_DEFAULT_CACHE", cache)
+        rows = stirling_rows(5)
+    assert rows[0] is cache._first and rows[1] is cache._second
+    assert len(cache._first) == len(cache._second) == 6
+    # growing further extends the same lists
+    assert cache.rows(9)[0] is rows[0] and len(rows[0]) == len(rows[1]) == 10
+
+
+def test_rows_read_while_the_cache_grows():
+    import sys
+    import threading
+
+    top = 90
+    serial_first, serial_second = StirlingCache().rows(top)
+    cache = StirlingCache()
+    seen = []
+
+    def reader(start):
+        # each row is copied as soon as it is handed out, while growers may
+        # still be appending later rows to the same triangles
+        for n in range(start, top + 1, 3):
+            first, second = cache.rows(n)
+            seen.append((n, list(first[n]), list(second[n])))
+
+    def grower(step):
+        for n in range(step, top + 1, step):
+            cache.first(n, n // 2)
+            cache.second(n, n // 2)
+
+    threads = [threading.Thread(target=reader, args=(s,)) for s in (0, 1, 2, 2)]
+    threads += [threading.Thread(target=grower, args=(s,)) for s in (7, 11, 13, 17)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 31 + 30 + 2 * 30
+    for n, first, second in seen:
+        assert first == serial_first[n], n
+        assert second == serial_second[n], n
+    # no row was appended twice or out of order
+    assert cache._first == serial_first and cache._second == serial_second
 
 
 def test_concurrent_growth_is_consistent():
