@@ -27,12 +27,12 @@ from itertools import combinations_with_replacement
 from math import factorial, perm
 
 from . import chain_formula, chains, kl_recursion, lattice_oracle, partitions, stirling, whitney2
-from .cli import DEFAULT_GENERIC_KL_BOUND, _method_values
+from .cli import DEFAULT_GENERIC_KL_BOUND, compare_methods
 
 
 def check_base_case(args, lattice):
-    vals = dict(_method_values(2, 0, args))
-    return set(vals.values()) == {1}, f"methods {sorted(vals)}"
+    ((_, _, pairs, _),) = compare_methods([(2, 0)], args)
+    return {v for _, v in pairs} == {1}, f"methods {sorted(m for m, _ in pairs)}"
 
 
 def check_chain_example(args, lattice):

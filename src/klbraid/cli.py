@@ -9,8 +9,9 @@ output.
 
 This module only parses arguments and dispatches.  ``_refusal`` states
 each method's domain and cap once: ``coeff --method`` exits 2 with its
-message, and ``--all-methods`` runs exactly the methods it lets through.
-The self-test battery lives in ``klbraid.checks``.
+message, and ``--all-methods`` runs exactly the methods it lets through,
+each once for all of its cells (``compare_methods``, which the self-test
+battery in ``klbraid.checks`` shares).
 
 Each command imports the method modules it runs, and no others, when it
 runs: building the parser needs only the constants below, so a ``klb``
@@ -80,19 +81,6 @@ class UsageError(Exception):
     pass
 
 
-def _warn_once(args, message: str) -> None:
-    # one stderr line per invocation, however many cells raise the same bound
-    if message in args.warned:
-        return
-    args.warned.add(message)
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _coeff_index_count(n: int) -> int:
-    # number of meaningful coefficient positions: i with 2i < n - 1, plus i = 0
-    return max(1, (n - 2) // 2 + 1) if n >= 2 else 1
-
-
 def _refusal(method: str, n: int, i: int, args) -> str | None:
     """The usage error that ``coeff n i --method method`` exits 2 with, or
     None when the method answers: each method's domain and cap, stated once."""
@@ -137,33 +125,6 @@ def _require(method: str, n: int, i: int, args) -> None:
         raise UsageError(message)
 
 
-def _coeff_by_method(method: str, n: int, i: int, args) -> int:
-    _require(method, n, i, args)
-    if method == "recursion":
-        from . import kl_recursion
-
-        return kl_recursion.kl_coeff(n, i)
-    if method == "chain":
-        if n > DEFAULT_CHAIN_MAX_N:
-            _warn_once(args, f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow")
-        if n in args.chain_rows:
-            return args.chain_rows[n][i]
-        from . import chain_formula
-
-        return chain_formula.kl_coeff_via_chains(n, i)
-    if method == "oracle":
-        if n > DEFAULT_GENERIC_KL_BOUND:
-            _warn_once(args, f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow")
-        from . import lattice_oracle
-
-        return lattice_oracle.braid_kl_generic(n).coeff(i)
-    from . import whitney2
-
-    if method == "corollary":
-        return whitney2.kl_c1(n)
-    return whitney2.kl_coeff_via_pxy(n, i)
-
-
 def _check_oracle_bound(args) -> None:
     if args.oracle_max_n > DEFAULT_LATTICE_BOUND:
         raise UsageError(f"--oracle-max-n is capped at {DEFAULT_LATTICE_BOUND}: "
@@ -174,11 +135,59 @@ def _applicable_methods(n: int, i: int, args) -> list[str]:
     return [m for m in METHODS if _refusal(m, n, i, args) is None]
 
 
-def _method_values(n: int, i: int, args) -> list[tuple[str, int]]:
-    """(method, C(n, i)) for each applicable method.  The recursion's cap
-    refuses the whole request, since every row is checked against it."""
-    _require("recursion", n, i, args)
-    return [(m, _coeff_by_method(m, n, i, args)) for m in _applicable_methods(n, i, args)]
+def _warn_slow(method: str, n: int, args) -> None:
+    # one stderr line per invocation, however many cells pass the same bound
+    if method == "chain" and n > DEFAULT_CHAIN_MAX_N:
+        message = f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow"
+    elif method == "oracle" and n > DEFAULT_GENERIC_KL_BOUND:
+        message = f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow"
+    else:
+        return
+    if message not in args.warned:
+        args.warned.add(message)
+        print(f"warning: {message}", file=sys.stderr)
+
+
+def _answers(method: str, cells: list[tuple[int, int]]) -> list[int]:
+    """C(n, i) by ``method`` for each (n, i) in ``cells``, all of which
+    ``_refusal`` lets through.  The chain makes one pass at the cells' largest
+    n and i, which holds one cell or every row of a table; the oracle solves
+    each n's lattice once; the other methods answer cell by cell."""
+    if method == "chain":
+        from . import chain_formula
+
+        rows = chain_formula.kl_chain_rows(max(n for n, _ in cells), max(i for _, i in cells))
+        return [rows[n][i] for n, i in cells]
+    if method == "oracle":
+        from . import lattice_oracle
+
+        polys = {n: lattice_oracle.braid_kl_generic(n) for n in dict.fromkeys(n for n, _ in cells)}
+        return [polys[n].coeff(i) for n, i in cells]
+    if method == "recursion":
+        from . import kl_recursion
+
+        return [kl_recursion.kl_coeff(n, i) for n, i in cells]
+    from . import whitney2
+
+    if method == "corollary":
+        return [whitney2.kl_c1(n) for n, _ in cells]
+    return [whitney2.kl_coeff_via_pxy(n, i) for n, i in cells]
+
+
+def compare_methods(cells: list[tuple[int, int]], args) -> list:
+    """(n, i, [(method, C(n, i))], the pairs that differ from the recursion's)
+    per cell, over the methods ``_refusal`` lets through: one ``_answers`` call
+    per method, slowness warnings in cell order.  The recursion's cap refuses
+    the whole request, since every row is checked against it."""
+    _require("recursion", max(n for n, _ in cells), 0, args)
+    methods = [_applicable_methods(n, i, args) for n, i in cells]
+    for (n, _), ms in zip(cells, methods):
+        for m in ms:
+            _warn_slow(m, n, args)
+    by_method = {m: [c for c, ms in zip(cells, methods) if m in ms] for m in METHODS}
+    values = {m: dict(zip(cs, _answers(m, cs))) for m, cs in by_method.items() if cs}
+    pairs = [[(m, values[m][c]) for m in ms] for c, ms in zip(cells, methods)]
+    return [(n, i, p, [(m, v) for m, v in p if v != p[0][1]]) for (n, i), p in zip(cells, pairs)]
 
 
 def _print_json(obj) -> None:
@@ -193,15 +202,16 @@ def cmd_coeff(args) -> int:
     if n < 1 or i < 0:
         raise UsageError("need n >= 1 and i >= 0")
     if args.all_methods:
-        rows = _method_values(n, i, args)
-        width = max(len(m) for m, _ in rows)
-        for m, v in rows:
+        ((_, _, pairs, bad),) = compare_methods([(n, i)], args)
+        width = max(len(m) for m, _ in pairs)
+        for m, v in pairs:
             print(f"{m:<{width}}  {v}")
-        if len({v for _, v in rows}) > 1:
+        if bad:
             print(f"disagreement among methods for C({n},{i})", file=sys.stderr)
-            return 1
-        return 0
-    print(_coeff_by_method(args.method, n, i, args))
+        return 1 if bad else 0
+    _require(args.method, n, i, args)
+    _warn_slow(args.method, n, args)
+    print(_answers(args.method, [(n, i)])[0])
     return 0
 
 
@@ -222,24 +232,11 @@ def cmd_poly(args) -> int:
 
 def _table_rows(args):
     # (n, i, C(n, i), the (method, value) pairs that disagree with the recursion)
-    from . import kl_recursion
-
-    # one chain pass, at the last row the chain answers, holds every chain cell
-    last = max((n for n in range(args.max_n + 1) if not _refusal("chain", n, 0, args)), default=0)
-    if args.all_methods and last:
-        from . import chain_formula
-
-        args.chain_rows = chain_formula.kl_chain_rows(last, (last - 2) // 2)
-    rows = []
-    for n in range(2, args.max_n + 1):
-        for i in range(_coeff_index_count(n)):
-            if args.all_methods:
-                vals = _method_values(n, i, args)
-            else:
-                vals = [("recursion", kl_recursion.kl_coeff(n, i))]
-            c = vals[0][1]
-            rows.append((n, i, c, [(m, v) for m, v in vals if v != c]))
-    return rows
+    # for every i with 2i < n - 1, where P_n's coefficients lie
+    cells = [(n, i) for n in range(2, args.max_n + 1) for i in range(n // 2)]
+    if not args.all_methods:
+        return [(n, i, c, []) for (n, i), c in zip(cells, _answers("recursion", cells))]
+    return [(n, i, pairs[0][1], bad) for n, i, pairs, bad in compare_methods(cells, args)]
 
 
 def _emit_table(rows, fmt):
@@ -390,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.warned, args.chain_rows = set(), {}
+    args.warned = set()
     try:
         return args.fn(args)
     except (UsageError, OracleBoundError) as exc:

@@ -176,7 +176,7 @@ def test_chain_ceiling_fails_before_any_work(monkeypatch, capsys):
 
     monkeypatch.setattr(stirling.StirlingCache, "_grow_first", refuse)
     monkeypatch.setattr(stirling.StirlingCache, "_grow_second", refuse)
-    monkeypatch.setattr(chain_formula, "kl_coeff_via_chains", refuse)
+    monkeypatch.setattr(chain_formula, "kl_chain_rows", refuse)
     n = cli.CHAIN_SUM_MAX_N + 1
     assert cli.main(["coeff", str(n), "3", "--method", "chain", "--chain-max-n", str(n)]) == 2
     captured = capsys.readouterr()
@@ -229,6 +229,32 @@ def test_table_and_method_grid_make_one_chain_pass(monkeypatch, capsys):
     assert checks.check_method_grid(args, None) == (True, "chain vs recursion, n <= 40")
     assert sum(passes) == 1
     capsys.readouterr()
+
+
+def test_table_asks_each_method_once(monkeypatch, capsys):
+    # every method answers all of its cells in one call, not one call per cell
+    asked = []
+    real_answers = cli._answers
+
+    def counting(method, cells):
+        asked.append(method)
+        return real_answers(method, cells)
+
+    monkeypatch.setattr(cli, "_answers", counting)
+    assert cli.main(["table", "--max-n", "40", "--all-methods", "--chain-max-n", "40"]) == 0
+    assert asked == list(cli.METHODS)
+    capsys.readouterr()
+
+
+def test_table_warnings_come_out_in_cell_order():
+    # the oracle's warning belongs to row 8 and the chain's to row 61, so the
+    # oracle's comes first although the chain is asked before it in each cell
+    proc = run_cli("table", "--max-n", "70", "--all-methods", "--chain-max-n", "65",
+                   "--oracle-max-n", "8")
+    assert proc.stderr == ("warning: lattice recursion above n=7 may be slow\n"
+                           "warning: chain sum above n=60 may be slow\n")
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "4b72436c69a357109f8cd3d40c15378c7dabf041d410913cdc9edfe2abae8989"
 
 
 def test_table_names_the_cells_of_a_raised_edge_entry(monkeypatch, capsys):
@@ -307,7 +333,7 @@ _RULE_CELLS = [
 def test_method_list_matches_single_method_answers(bounds, monkeypatch, capsys):
     # stub every method, so that only the rules for refusing a cell run
     monkeypatch.setattr(kl_recursion, "kl_coeff", lambda n, i: 0)
-    monkeypatch.setattr(chain_formula, "kl_coeff_via_chains", lambda n, i: 0)
+    monkeypatch.setattr(chain_formula, "kl_chain_rows", lambda n, top: {n: [0] * (top + 1)})
     monkeypatch.setattr(whitney2, "kl_c1", lambda n: 0)
     monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i: 0)
     monkeypatch.setattr(lattice_oracle, "braid_kl_generic", lambda n: IntPoly())
