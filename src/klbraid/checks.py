@@ -12,11 +12,11 @@ Not every pair is independent.  The chain method and the partition close
 of rows n <= ``PARTITION_CHECK_MAX_N`` read no Stirling number; the lattice
 oracle reads only the lattice.  pxy is independent in code and formula but
 reads only S, as the diagonal does, so pxy = recursion cannot catch a
-corrupted S entry (the chain method and the coefficient-k check can).  The close and ``defining_identity`` compute the
-one identity two ways, from a two-term recurrence for the rows of B, which
-reads no chi, and over integer partitions with a chi memo for the call, so
-a wrong chi entry fails ``defining_identity`` alone and a wrong row of B
-fails the close alone.
+corrupted S entry (the chain method and the coefficient-k check can).  The
+close and ``defining_identity`` compute the one identity two ways, from a
+two-term recurrence for the rows of B, which reads no chi, and over integer
+partitions with a chi memo for the call, so a wrong chi entry fails
+``defining_identity`` alone and a wrong row of B fails the close alone.
 """
 
 from __future__ import annotations

@@ -12,17 +12,17 @@ and t^(n-1-k), for 0 < k < (n-1)/2, give C_{n,k} along one diagonal:
     C_{n,k} = sum_{l=k+1}^{2k} S(n, l) * C_{l,l-1-k}
               - sum_{d=1}^{k} S(n, n-d) * C_{n-d,k-d}.
 
-A ``KLTable`` memoizes C_{n,k} per (n, k).  ``kl_coeff(n, i)`` fills the
-entries with k <= i for every m <= n and builds no row; ``KLTable._solve``
-fills the rest of row m and returns P_m.  Palindromicity gives exactly as
-many equations as unknowns, so it checks nothing by itself.  Each new value
-must therefore also satisfy coefficients k and n-1-k of the defining
-identity, grouped by block count.  The flats with l blocks sum to B_{n,l}(t),
-the sum of prod_b chi_{|b|} over the set partitions of an n-set into l
-blocks b, with chi_m the characteristic polynomial of the rank-(m-1)
-partition lattice (the falling factorial over t).  By the exponential
-formula B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l) * t^j, and the terms with
-l+j = r sum to s(n, r) * Z_r(t), so
+A ``KLTable`` keeps row m of C as one list, C_{m,0}, C_{m,1}, ..., as far
+as it is filled.  ``kl_coeff(n, i)`` extends every row m <= n through k = i
+and builds no P; ``KLTable._solve`` fills the rest of row m and returns P_m.
+Palindromicity gives exactly as many equations as unknowns, so it checks
+nothing by itself.  Each new value must therefore also satisfy coefficients
+k and n-1-k of the defining identity, grouped by block count.  The flats
+with l blocks sum to B_{n,l}(t), the sum of prod_b chi_{|b|} over the set
+partitions of an n-set into l blocks b, with chi_m the characteristic
+polynomial of the rank-(m-1) partition lattice (the falling factorial over
+t).  By the exponential formula B_{n,l}(t) = sum_j s(n, l+j) * S(l+j, l)
+* t^j, and the terms with l+j = r sum to s(n, r) * Z_r(t), so
 
     0 = C_{n,k} + R_{n,k} + sum_{r=k+1}^{n-1} s(n, r) * [t^k]Z_r,
     C_{n,k} = sum_{l<n} sum_xi s(n, a+l) * S(a+l, l) * C_{l,xi},  a = n-1-k-xi,
@@ -31,14 +31,14 @@ where R_{n,k} is the diagonal's second sum above (Z_r has degree r-1, so
 r <= k adds nothing), and be nonnegative, as every coefficient of a
 matroid's Kazhdan-Lusztig polynomial is (Braden-Huh-Matherne-Proudfoot-Wang).
 None of these checks is optional.  The first reads a per-table memo of
-[t^k]Z_r = sum_{d<=k} S(r, r-d) * C_{r-d,k-d}, each entry formed once from
-that definition, so the memo fills bottom-up in n and an entry costs O(n)
-multiplications, with no partition or polynomial product.  The second is
-the chain sum, ``chain_sum``, O(k^2) Stirling products per entry and so
-O(n^4) per table, most of a fill's time: a cold fill to row 130 took
-1.3-1.7 s of CPU in-process on a 2-core host.  The chain method steps the
-same weights as coefficients of B near its top, from no Stirling number
-(``chain_formula``).
+[t^k]Z_r = sum_{d<=k} S(r, r-d) * C_{r-d,k-d}, one list over r per k, each
+entry formed once from that definition, so the memo fills bottom-up in n
+and an entry costs O(n) multiplications, with no partition or polynomial
+product.  The second is the chain sum, ``chain_sum``, O(k^2) Stirling
+products per entry and so O(n^4) per table, most of a fill's time: a cold
+fill to row 130 took 1.1-2.2 s of CPU in-process on a 2-core host (5 fresh
+processes).  The chain method steps the same weights as coefficients of B
+near its top, from no Stirling number (``chain_formula``).
 
 Those checks read the Stirling cache that the diagonal reads, a row at a
 time: each entry fetches the triangles once (``stirling_rows``) and indexes
@@ -79,16 +79,16 @@ class KLTable:
     """Bottom-up table of braid Kazhdan-Lusztig polynomials P_1, P_2, ...
     and of their coefficients C_{m,k}.
 
-    Shareable across threads: the fill happens under a lock, and neither
-    rows nor memo entries change once published.
+    Shareable across threads: the fill happens under a lock, and the rows
+    and memo lists only grow, so no entry changes once published.
     """
 
     def __init__(self):
         self._polys: list[IntPoly | None] = [None, IntPoly.one()]
-        # C_{m,k} for 0 < k < (m-1)/2
-        self._coeffs: dict[tuple[int, int], int] = {}
-        # [t^k]Z_r for the (r, k) the coefficient-k check has read
-        self._z: dict[tuple[int, int], int] = {}
+        # _rows[m] = [C_{m,0}, C_{m,1}, ...] as far as row m is filled
+        self._rows: list[list[int]] = [[], [1]]
+        # _z[k][r] = [t^k]Z_r, 0 at r <= k, as far as the coefficient-k check read
+        self._z: list[list[int]] = []
         # B_{m,l} as _block_row[l] for the last row m <= PARTITION_CHECK_MAX_N
         # that closed, the only row the next one is built from
         self._block_row: list[IntPoly] = [IntPoly(), IntPoly.one()]
@@ -105,9 +105,9 @@ class KLTable:
             return self._polys[n]
 
     def _solve(self, m: int) -> IntPoly:
-        # every row below m is in the table, so every entry it reads is too
-        self._fill_row(m, m)
-        p = IntPoly([self._coeff(m, k) for k in range(m // 2)])
+        # every row below m is in the table, so only row m is filled here
+        self._fill(m, (m - 2) // 2)
+        p = IntPoly(self._rows[m])
         if m <= PARTITION_CHECK_MAX_N:
             row = chi_block_row(self._block_row)
             # the l = m term, all singletons, is P_m itself
@@ -121,20 +121,22 @@ class KLTable:
         return p
 
     def _coeff(self, m: int, k: int) -> int:
-        """C_{m,k} from the memo: 1 at k = 0, 0 at and beyond the degree
-        bound."""
+        """C_{m,k} from its row: 1 at k = 0, 0 from the degree bound on."""
         if k == 0:
             return 1
         if 2 * k >= m - 1:
             return 0
-        return self._coeffs[m, k]
+        return self._rows[m][k]
 
-    def _fill_row(self, m: int, top: int) -> None:
-        """Memoize C_{m,k} for 0 < k <= top; needs every C_{l,j} with l < m
-        and j <= top."""
-        for k in range(1, min(top, (m - 2) // 2) + 1):
-            if (m, k) not in self._coeffs:
-                self._coeffs[m, k] = self._solve_diagonal(m, k)
+    def _fill(self, n: int, top: int) -> None:
+        """Extend rows m <= n through C_{m,top}, or to their degree bound,
+        bottom-up; a row already filled that far costs one length check."""
+        with self._lock:
+            self._rows += [[1] for _ in range(len(self._rows), n + 1)]
+            self._z += [[0] * (k + 1) for k in range(len(self._z), top + 1)]
+            for m, row in enumerate(self._rows[4:n + 1], 4):
+                for k in range(len(row), min(top, (m - 2) // 2) + 1):
+                    row.append(self._solve_diagonal(m, k))
 
     def _solve_diagonal(self, m: int, k: int) -> int:
         """C_{m,k} from the Z-polynomial, checked against both coefficients
@@ -146,13 +148,12 @@ class KLTable:
         row = S[m]
         rest = sum(row[m - d] * coeff(m - d, k - d) for d in range(1, k + 1))
         c = sum(row[l] * coeff(l, l - 1 - k) for l in range(k + 1, 2 * k + 1)) - rest
-        z = self._z
-        for r in range(k + 1, m):
-            if (r, k) not in z:
-                row = S[r]
-                z[r, k] = sum(row[r - d] * coeff(r - d, k - d) for d in range(k + 1))
+        z = self._z[k]
+        for r in range(len(z), m):
+            row = S[r]
+            z.append(sum(row[r - d] * coeff(r - d, k - d) for d in range(k + 1)))
         row = s[m]
-        low = -rest - sum(row[r] * z[r, k] for r in range(k + 1, m))
+        low = -rest - sum(row[r] * z[r] for r in range(k + 1, m))
         high = chain_sum(m, k, coeff)
         if not c == low == high:
             raise InternalConsistencyError(
@@ -191,16 +192,14 @@ def kl_braid_poly(n: int, table: KLTable | None = None) -> IntPoly:
 def kl_coeff(n: int, i: int, table: KLTable | None = None) -> int:
     """C_{n,i} = [t^i] P_n(t); zero at and beyond the degree bound (n-1)/2.
 
-    Fills the memo's entries with k <= i, bottom-up in m, and no row."""
+    Extends the rows of C through k = i, bottom-up in m, and builds no P."""
     if i < 0:
         raise ValueError("i must be nonnegative")
     if n < 1:
         raise ValueError("n must be positive")
     tab = table or _DEFAULT_TABLE
-    if i and 2 * i < n - 1 and (n, i) not in tab._coeffs:
-        with tab._lock:
-            for m in range(4, n + 1):
-                tab._fill_row(m, i)
+    if i and 2 * i < n - 1:
+        tab._fill(n, i)
     return tab._coeff(n, i)
 
 

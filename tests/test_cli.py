@@ -246,6 +246,25 @@ def test_table_asks_each_method_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+# sha256 of the stdout of plain `table --max-n 100`, whose cells the recursion
+# answers one kl_coeff call each, by format
+TABLE_100_SHA256 = {
+    "text": "a39e787e00238af001caa54d6d9a54fa44e5d7025ff8647fc5b221d557e66d73",
+    "csv": "cea7a15560c5cbffee88abc832e3fd2323ae2124782020c9a0dfaedf2cd5d7e4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_100_SHA256))
+def test_table_at_the_recursion_cap_is_frozen(fmt, monkeypatch, capsys):
+    # a cold table, so every cell fills its entries through kl_coeff
+    monkeypatch.setattr(kl_recursion, "_DEFAULT_TABLE", kl_recursion.KLTable())
+    assert cli.main(["table", "--max-n", "100", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_100_SHA256[fmt]
+    assert len(kl_recursion._DEFAULT_TABLE._polys) == 2
+
+
 def test_table_warnings_come_out_in_cell_order():
     # the oracle's warning belongs to row 8 and the chain's to row 61, so the
     # oracle's comes first although the chain is asked before it in each cell

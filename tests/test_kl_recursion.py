@@ -465,10 +465,11 @@ def _first_refusal(fill):
 
 
 # Keyed by the entry raised: S(n, k), s(n, k), C(n, k) right after row n is
-# filled (so P_n carries it too), B_{n,l} right after row n closes, or chi_b.
-# The close refuses P_12 itself; above its reach, row 31's coefficient-k check
-# is the first to read C(30, 5).  The close of row n + 1 reads B_{n,l}, and no
-# close reads row PARTITION_CHECK_MAX_N of B.  No fill reads chi_b: only
+# filled (so P_n carries it too), [t^k]Z_n right after it is formed, B_{n,l}
+# right after row n closes, or chi_b.  The close refuses P_12 itself; above
+# its reach, row 31's coefficient-k check is the first to read C(30, 5) and
+# [t^5]Z_30.  The close of row n + 1 reads B_{n,l}, and no close reads row
+# PARTITION_CHECK_MAX_N of B.  No fill reads chi_b: only
 # verify_defining_identity does, and it fails at b.
 FAULT_MATRIX = {
     ("S", 9, 2): (9, ("low",)),
@@ -481,6 +482,7 @@ FAULT_MATRIX = {
     ("s", 45, 2): (45, ("low",)),
     ("C", 12, 3): (12, ("close",)),
     ("C", 30, 5): (31, ("low",)),
+    ("Z", 30, 5): (31, ("low",)),
     ("B", 12, 3): (13, ("close",)),
     ("B", kl_recursion.PARTITION_CHECK_MAX_N, 3): None,
     ("chi", 5): None,
@@ -490,7 +492,7 @@ FAULT_MATRIX = {
 
 @pytest.mark.parametrize("fault", list(FAULT_MATRIX), ids=lambda f: "-".join(map(str, f)))
 def test_fault_matrix(monkeypatch, fault):
-    # one wrong entry of S, s, the coefficient memo, the kept row of B or
+    # one wrong entry of S, s, a row of C, the Z memo, the kept row of B or
     # chi_b as kl_recursion reads it, below and above the partition close's
     # reach; both Stirling triangles are grown to FAULT_TOP before an entry
     # is raised, so no row grows from it
@@ -504,14 +506,21 @@ def test_fault_matrix(monkeypatch, fault):
     elif kind == "s":
         cache._first[row][col[0]] += 1
     elif kind == "C":
-        real = KLTable._fill_row
+        real = KLTable._fill
 
-        def fill_then_corrupt(self, m, top):
-            real(self, m, top)
-            if m == row:
-                self._coeffs[row, col[0]] += 1
+        def fill_then_corrupt(self, n, top):
+            real(self, n, top)
+            if n == row:
+                self._rows[row][col[0]] += 1
 
-        monkeypatch.setattr(KLTable, "_fill_row", fill_then_corrupt)
+        monkeypatch.setattr(KLTable, "_fill", fill_then_corrupt)
+    elif kind == "Z":
+        class RaisedAtRow(list):
+            def append(self, value):
+                super().append(value + (len(self) == row))
+
+        # the memo's lists up to k = col, zero at r <= k, as the fill sets them
+        table._z = [[0] * (k + 1) for k in range(col[0])] + [RaisedAtRow([0] * (col[0] + 1))]
     elif kind == "B":
         real = KLTable._solve
 
