@@ -135,24 +135,29 @@ def _applicable_methods(n: int, i: int, args) -> list[str]:
     return [m for m in METHODS if _refusal(m, n, i, args) is None]
 
 
-def _warn_slow(method: str, n: int, args) -> None:
-    # one stderr line per invocation, however many cells pass the same bound
-    if method == "chain" and n > DEFAULT_CHAIN_MAX_N:
-        message = f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow"
-    elif method == "oracle" and n > DEFAULT_GENERIC_KL_BOUND:
-        message = f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow"
-    else:
-        return
-    if message not in args.warned:
-        args.warned.add(message)
-        print(f"warning: {message}", file=sys.stderr)
+def _warn_slow(reached) -> None:
+    # one stderr line per bound that some (method, n) in ``reached`` passes,
+    # in the order they first pass it
+    warned = set()
+    for method, n in reached:
+        if method == "chain" and n > DEFAULT_CHAIN_MAX_N:
+            message = f"chain sum above n={DEFAULT_CHAIN_MAX_N} may be slow"
+        elif method == "oracle" and n > DEFAULT_GENERIC_KL_BOUND:
+            message = f"lattice recursion above n={DEFAULT_GENERIC_KL_BOUND} may be slow"
+        else:
+            continue
+        if message not in warned:
+            warned.add(message)
+            print(f"warning: {message}", file=sys.stderr)
 
 
 def _answers(method: str, cells: list[tuple[int, int]]) -> list[int]:
     """C(n, i) by ``method`` for each (n, i) in ``cells``, all of which
     ``_refusal`` lets through.  The chain makes one pass at the cells' largest
     n and i, which holds one cell or every row of a table; the oracle solves
-    each n's lattice once; the other methods answer cell by cell."""
+    each n's lattice once; the pxy sum shares one memo across the cells; the
+    recursion and the corollary answer cell by cell.  Nothing but the
+    recursion's table and the Stirling triangles outlives the call."""
     if method == "chain":
         from . import chain_formula
 
@@ -171,7 +176,7 @@ def _answers(method: str, cells: list[tuple[int, int]]) -> list[int]:
 
     if method == "corollary":
         return [whitney2.kl_c1(n) for n, _ in cells]
-    return [whitney2.kl_coeff_via_pxy(n, i) for n, i in cells]
+    return whitney2.kl_coeffs_via_pxy(cells)
 
 
 def compare_methods(cells: list[tuple[int, int]], args) -> list:
@@ -181,9 +186,7 @@ def compare_methods(cells: list[tuple[int, int]], args) -> list:
     the whole request, since every row is checked against it."""
     _require("recursion", max(n for n, _ in cells), 0, args)
     methods = [_applicable_methods(n, i, args) for n, i in cells]
-    for (n, _), ms in zip(cells, methods):
-        for m in ms:
-            _warn_slow(m, n, args)
+    _warn_slow((m, n) for (n, _), ms in zip(cells, methods) for m in ms)
     by_method = {m: [c for c, ms in zip(cells, methods) if m in ms] for m in METHODS}
     values = {m: dict(zip(cs, _answers(m, cs))) for m, cs in by_method.items() if cs}
     pairs = [[(m, values[m][c]) for m in ms] for c, ms in zip(cells, methods)]
@@ -210,7 +213,7 @@ def cmd_coeff(args) -> int:
             print(f"disagreement among methods for C({n},{i})", file=sys.stderr)
         return 1 if bad else 0
     _require(args.method, n, i, args)
-    _warn_slow(args.method, n, args)
+    _warn_slow([(args.method, n)])
     print(_answers(args.method, [(n, i)])[0])
     return 0
 
@@ -387,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.warned = set()
     try:
         return args.fn(args)
     except (UsageError, OracleBoundError) as exc:

@@ -29,12 +29,13 @@ value is distinct.
 
 Scale: partition lattices up to ``DEFAULT_LATTICE_BOUND`` (Bell(9) = 21147
 elements); the generic recursion is capped lower by the CLI's default,
-``cli.DEFAULT_GENERIC_KL_BOUND``.
+``cli.DEFAULT_GENERIC_KL_BOUND``.  The module keeps no state between calls:
+a lattice memoizes its own Moebius rows and solved polynomials, and
+``braid_kl_generic`` drops its lattice once P_n is solved.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, repeat, zip_longest
 from operator import or_
@@ -335,24 +336,15 @@ def kl_polynomial_generic(L: RankedLattice) -> IntPoly:
     return cache[L.bottom]
 
 
-_braid_kl: dict[int, IntPoly] = {}
-_braid_kl_lock = threading.Lock()
-
-
 def braid_kl_generic(n: int) -> IntPoly:
     """P_n by the generic recursion on the whole partition lattice of {1..n}.
 
-    Solved once per n per process.  Only the polynomial is kept, so the
-    lattice is freed after the solve.  The lattice is built under
+    Builds and solves the lattice on every call and keeps nothing, so the
+    lattice is freed once the polynomial is returned; a caller that needs
+    P_n twice keeps it.  The lattice is built under
     ``build_partition_lattice``'s cap, ``DEFAULT_LATTICE_BOUND``.
-    The lock keeps two threads from building the same lattice at once,
-    which would double peak memory.
     """
-    with _braid_kl_lock:
-        p = _braid_kl.get(n)
-        if p is None:
-            p = _braid_kl[n] = kl_polynomial_generic(build_partition_lattice(n))
-        return p
+    return kl_polynomial_generic(build_partition_lattice(n))
 
 
 def flag_whitney_bruteforce(L: RankedLattice, ranks: Sequence[int]) -> int:

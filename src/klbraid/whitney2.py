@@ -14,8 +14,8 @@ product; the lattice oracle counts the same chains by brute force.
 (S(n,2) - S(n,n-1), and the signed-Stirling-plus-two-block-multiplicities
 form) with the agreement asserted on every call.
 
-``kl_coeff_via_pxy`` is the alternating triple sum expressing C_{n,i}
-through flag Whitney numbers.  For 1 <= i < (n-1)/2, with N = n - 1,
+``kl_coeffs_via_pxy`` is the alternating triple sum expressing C_{n,i}
+through flag Whitney numbers, per cell.  For 1 <= i < (n-1)/2, with N = n - 1,
 
     C_{n,i} = sum_{r=1}^{i} sum_{D subset of {1..r}} (-1)^|D|
               sum over 0 = a_0 < a_1 < ... < a_r = i < a_{r+1} = N - i
@@ -35,7 +35,8 @@ or keeps x' = x with sign - (j - 1 in D); the scan stops at y = a_0 = 0.  So
     C_{n,i} = sum_{y<i} [S(n, 1+i+y) f(i, y) - S(n, n-i+y) f(N-i, y)]
 
 where f(x, y), the signed sum over the steps below state (x, y), depends on
-neither n nor i.  C_{n,i} reads O(i^2) states, each O(i) products.
+neither n nor i.  C_{n,i} reads O(i^2) states, each O(i) products.  The
+cells of one call share a memo of f, which the call drops on return.
 """
 
 from __future__ import annotations
@@ -92,29 +93,34 @@ def kl_c1(n: int) -> int:
 
 # --- the alternating triple sum ----------------------------------------------
 
-# The memo takes no lock: two threads racing on one key store equal values.
-_transfer: dict[tuple[int, int], int] = {}
 
-
-def _f(x: int, y: int) -> int:
-    return _transfer[x, y] if y else 1
+def kl_coeffs_via_pxy(cells: Sequence[tuple[int, int]]) -> list[int]:
+    """C_{n,i} through the alternating flag-Whitney sum for each (n, i) in
+    ``cells``, 0 < i < (n-1)/2, as the chain recurrence (module docstring)
+    filled bottom-up in y, after checking every cell."""
+    for n, i in cells:
+        if n < 2:
+            raise ValueError("need n >= 2")
+        if i < 1 or 2 * i >= n - 1:
+            raise ValueError(f"coefficient index {i} outside (0, (n-1)/2) for n={n}")
+    f: dict[tuple[int, int], int] = {}
+    out = []
+    for n, i in cells:
+        for y in range(i):
+            for x in (*range(y + 1, i), i, n - 1 - i):
+                if (x, y) not in f:
+                    f[x, y] = sum(stirling_second(1 + x + y, 1 + y + z) * f[y, z]
+                                  - stirling_second(1 + x + y, 1 + x + z) * f[x, z]
+                                  for z in range(y)) if y else 1
+        out.append(sum(stirling_second(n, 1 + i + y) * f[i, y]
+                       - stirling_second(n, n - i + y) * f[n - 1 - i, y] for y in range(i)))
+    return out
 
 
 def kl_coeff_via_pxy(n: int, i: int) -> int:
-    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2,
-    as the chain recurrence (module docstring) filled bottom-up in y."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if i < 1 or 2 * i >= n - 1:
-        raise ValueError(f"coefficient index {i} outside (0, (n-1)/2) for n={n}")
-    for y in range(1, i):
-        for x in (*range(y + 1, i), i, n - 1 - i):
-            if (x, y) not in _transfer:
-                _transfer[x, y] = sum(stirling_second(1 + x + y, 1 + y + z) * _f(y, z)
-                                      - stirling_second(1 + x + y, 1 + x + z) * _f(x, z)
-                                      for z in range(y))
-    return sum(stirling_second(n, 1 + i + y) * _f(i, y)
-               - stirling_second(n, n - i + y) * _f(n - 1 - i, y) for y in range(i))
+    """C_{n,i} through the alternating flag-Whitney sum, for 0 < i < (n-1)/2:
+    ``kl_coeffs_via_pxy``'s one-cell case."""
+    return kl_coeffs_via_pxy([(n, i)])[0]
 
 
 class GridResult(NamedTuple):
@@ -133,10 +139,7 @@ def pxy_grid_report(max_n: int = 10, max_i: int = 2) -> dict[str, GridResult]:
 
     name = "w-rank-prev"
     cells = [(n, i) for n in range(2, max_n + 1) for i in range(1, min(max_i, (n - 2) // 2) + 1)]
-    mism = []
-    for n, i in cells:
-        got = kl_coeff_via_pxy(n, i)
-        want = kl_coeff(n, i)
-        if got != want:
-            mism.append((n, i, got, want))
+    wants = [kl_coeff(n, i) for n, i in cells]
+    mism = [(n, i, got, want)
+            for (n, i), got, want in zip(cells, kl_coeffs_via_pxy(cells), wants) if got != want]
     return {name: GridResult(name=name, mismatches=mism)}

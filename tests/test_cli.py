@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -111,7 +113,6 @@ def test_table_solves_each_lattice_once(monkeypatch, capsys):
         return real_build(n, *rest, **kw)
 
     monkeypatch.setattr(lattice_oracle, "build_partition_lattice", counting_build)
-    monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
     assert cli.main(["table", "--max-n", "7", "--all-methods"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split() == ["7", "2", "175"]
     assert built == [2, 3, 4, 5, 6, 7]
@@ -122,7 +123,6 @@ def test_oracle_bound_ceiling_fails_before_any_work(monkeypatch, capsys):
         raise AssertionError("lattice built despite the ceiling")
 
     monkeypatch.setattr(lattice_oracle, "build_partition_lattice", refuse)
-    monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
     assert cli.main(["coeff", "10", "1", "--method", "oracle", "--oracle-max-n", "10"]) == 2
     assert cli.main(["table", "--max-n", "10", "--all-methods", "--oracle-max-n", "10"]) == 2
     assert capsys.readouterr().out == ""
@@ -246,6 +246,54 @@ def test_table_asks_each_method_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_table_sums_pxy_in_one_call(monkeypatch, capsys):
+    calls = []
+    real_batch = whitney2.kl_coeffs_via_pxy
+
+    def counting(cells):
+        calls.append(len(cells))
+        return real_batch(cells)
+
+    monkeypatch.setattr(whitney2, "kl_coeffs_via_pxy", counting)
+    assert cli.main(["table", "--max-n", "40", "--all-methods"]) == 0
+    # every cell with 0 < i < (n-1)/2 and n <= 40
+    assert calls == [sum((n - 2) // 2 for n in range(2, 41))]
+    capsys.readouterr()
+
+
+def _module_containers():
+    # every module-level dict, list and set of every loaded klbraid module
+    return {(name, attr): copy.deepcopy(value)
+            for name, module in sorted(sys.modules.items())
+            if name == "klbraid" or name.startswith("klbraid.")
+            for attr, value in vars(module).items()
+            if not attr.startswith("__") and isinstance(value, (dict, list, set))}
+
+
+def test_methods_leave_no_module_state(capsys):
+    # only the recursion's table and the Stirling triangles, both instances,
+    # outlive a call; every other memo is the call's own
+    for name in ("checks", "cli", *cli._METHOD_MODULES):
+        importlib.import_module(f"klbraid.{name}")
+    before = _module_containers()
+    assert cli.main(["table", "--max-n", "9", "--all-methods", "--oracle-max-n", "6"]) == 0
+    assert cli.main(["coeff", "47", "13", "--all-methods"]) == 0
+    assert cli.main(["coeff", "7", "2", "--method", "oracle"]) == 0
+    assert cli.main(["chains", "7", "2"]) == 0
+    assert cli.main(["expand", "7", "2"]) == 0
+    capsys.readouterr()
+    assert _module_containers() == before
+
+
+def test_compare_methods_takes_a_parsed_namespace(capsys):
+    # the Namespace needs no attribute beyond the parser's; one warning
+    args = cli.build_parser().parse_args(["coeff", "61", "1", "--chain-max-n", "100"])
+    ((n, i, pairs, bad),) = cli.compare_methods([(61, 1)], args)
+    assert (n, i, bad) == (61, 1, [])
+    assert [m for m, _ in pairs] == ["recursion", "chain", "corollary", "pxy"]
+    assert capsys.readouterr().err == "warning: chain sum above n=60 may be slow\n"
+
+
 # sha256 of the stdout of plain `table --max-n 100`, whose cells the recursion
 # answers one kl_coeff call each, by format
 TABLE_100_SHA256 = {
@@ -300,7 +348,7 @@ def test_pxy_caps_fail_before_any_work(n, i, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("pxy sum run despite the cap")
 
-    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", refuse)
+    monkeypatch.setattr(whitney2, "kl_coeffs_via_pxy", refuse)
     assert cli.main(["coeff", str(n), str(i), "--method", "pxy"]) == 2
     assert capsys.readouterr().out == ""
 
@@ -354,7 +402,7 @@ def test_method_list_matches_single_method_answers(bounds, monkeypatch, capsys):
     monkeypatch.setattr(kl_recursion, "kl_coeff", lambda n, i: 0)
     monkeypatch.setattr(chain_formula, "kl_chain_rows", lambda n, top: {n: [0] * (top + 1)})
     monkeypatch.setattr(whitney2, "kl_c1", lambda n: 0)
-    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i: 0)
+    monkeypatch.setattr(whitney2, "kl_coeffs_via_pxy", lambda cells: [0] * len(cells))
     monkeypatch.setattr(lattice_oracle, "braid_kl_generic", lambda n: IntPoly())
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
@@ -555,7 +603,6 @@ def test_selftest_builds_each_lattice_once(monkeypatch, capsys):
         return real_build(n, *rest, **kw)
 
     monkeypatch.setattr(lattice_oracle, "build_partition_lattice", counting_build)
-    monkeypatch.setattr(lattice_oracle, "_braid_kl", {})
     assert cli.main(["selftest", "--max-n", "6", "--oracle-max-n", "6"]) == 0
     assert "selftest: PASS" in capsys.readouterr().out
     # the base case's oracle cell solves n = 2 through braid_kl_generic, as

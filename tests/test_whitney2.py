@@ -15,6 +15,7 @@ from klbraid.whitney2 import (
     flag_whitney_product,
     kl_c1,
     kl_coeff_via_pxy,
+    kl_coeffs_via_pxy,
     pxy_grid_report,
 )
 
@@ -137,16 +138,14 @@ def test_pxy_reads_few_stirling_numbers(monkeypatch):
         return stirling_second(n, k)
 
     want = kl_coeff_via_chains(500, 10)
-    monkeypatch.setattr(whitney2, "_transfer", {})
     monkeypatch.setattr(whitney2, "stirling_second", counted)
     assert kl_coeff_via_pxy(500, 10) == want
     assert len(reads) < 1000
 
 
-def test_pxy_fills_its_memo_without_recursion(monkeypatch):
+def test_pxy_fills_its_memo_without_recursion():
     # a recursive fill nests two frames per level of y
     want = kl_coeff_via_pxy(120, 59)
-    monkeypatch.setattr(whitney2, "_transfer", {})
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -159,11 +158,10 @@ def test_pxy_fills_its_memo_without_recursion(monkeypatch):
     assert got == want
 
 
-def test_pxy_memo_fills_concurrently(monkeypatch):
-    # threads racing on one memo key store equal values, so no lock is needed
+def test_pxy_memo_fills_concurrently():
+    # each call fills its own memo, so threads share only the Stirling triangle
     cells = [(n, i) for n in (30, 41, 52, 63) for i in (6, 9, 12, 14)]
     want = {cell: kl_coeff_via_pxy(*cell) for cell in cells}
-    monkeypatch.setattr(whitney2, "_transfer", {})
     got = {}
 
     def worker(n):
@@ -191,13 +189,39 @@ def test_pxy_rejects_out_of_range():
         kl_coeff_via_pxy(6, 3)
 
 
+def test_pxy_batch_checks_every_cell_before_summing(monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("summed despite an invalid cell")
+
+    monkeypatch.setattr(whitney2, "stirling_second", refuse)
+    with pytest.raises(ValueError, match="outside"):
+        kl_coeffs_via_pxy([(30, 5), (6, 3)])
+    with pytest.raises(ValueError, match="need n >= 2"):
+        kl_coeffs_via_pxy([(30, 5), (1, 1)])
+
+
+def test_pxy_calls_keep_no_memo(monkeypatch):
+    # an identical second call reads as many Stirling numbers as the first
+    reads = []
+
+    def counted(n, k):
+        reads.append((n, k))
+        return stirling_second(n, k)
+
+    monkeypatch.setattr(whitney2, "stirling_second", counted)
+    first = kl_coeff_via_pxy(60, 10)
+    once = len(reads)
+    assert kl_coeff_via_pxy(60, 10) == first
+    assert len(reads) == 2 * once > 0
+
+
 def test_grid_report_diagnoses_a_wrong_sum(monkeypatch):
     report = pxy_grid_report(max_n=8, max_i=2)
     assert list(report) == ["w-rank-prev"]
     assert report["w-rank-prev"].matches
     # a sum that is zero everywhere misses at the first grid cell, and the
     # mismatches carry (n, i, got, want) diagnostics
-    monkeypatch.setattr(whitney2, "kl_coeff_via_pxy", lambda n, i: 0)
+    monkeypatch.setattr(whitney2, "kl_coeffs_via_pxy", lambda cells: [0] * len(cells))
     (res,) = pxy_grid_report(max_n=8, max_i=2).values()
     assert not res.matches
     assert res.mismatches[0] == (4, 1, 0, 1)
