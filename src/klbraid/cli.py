@@ -154,15 +154,17 @@ def _warn_slow(reached) -> None:
 def _answers(method: str, cells: list[tuple[int, int]]) -> list[int]:
     """C(n, i) by ``method`` for each (n, i) in ``cells``, all of which
     ``_refusal`` lets through.  The chain makes one pass at the cells' largest
-    n and i, which holds one cell or every row of a table; the oracle solves
-    each n's lattice once; the pxy sum shares one memo across the cells; the
-    recursion and the corollary answer cell by cell.  Nothing but the
-    recursion's table and the Stirling triangles outlives the call."""
+    n and i, which holds one cell or every row of a table, and answers a cell
+    outside that pass's rows from its own pass; the oracle solves each n's
+    lattice once; the pxy sum shares one memo across the cells; the recursion
+    and the corollary answer cell by cell.  Nothing but the recursion's table
+    and the Stirling triangles outlives the call."""
     if method == "chain":
         from . import chain_formula
 
         rows = chain_formula.kl_chain_rows(max(n for n, _ in cells), max(i for _, i in cells))
-        return [rows[n][i] for n, i in cells]
+        return [rows[n][i] if n in rows else chain_formula.kl_coeff_via_chains(n, i)
+                for n, i in cells]
     if method == "oracle":
         from . import lattice_oracle
 

@@ -5,7 +5,8 @@ Conventions
 ``stirling_first(n, k)`` is the *signed* number s(n, k): the coefficient of
 t^k in the falling factorial t(t-1)...(t-n+1), so its sign is (-1)^(n-k).
 ``stirling_second(n, k)`` counts set partitions of an n-set into k blocks.
-Both satisfy the usual triangular recurrences and both are cached in a
+Both satisfy one triangular recurrence, T(m, k) = T(m-1, k-1) + w*T(m-1, k),
+with weight w = -(m-1) for s and w = k for S, and both are cached in a
 grow-only table (``StirlingCache``), guarded by a lock so that concurrent
 readers can share one instance.  ``stirling_rows(n)`` hands out the live
 triangles, grown through row n, to callers that read many entries.  A row
@@ -33,6 +34,7 @@ over 1 <= m <= n <= 12.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from math import factorial
 
 from .errors import InternalConsistencyError
@@ -40,10 +42,10 @@ from .polynomial import IntPoly
 
 
 class StirlingCache:
-    """Grow-only triangular tables for both kinds of Stirling numbers.
-
-    Row n holds entries k = 0..n.  Rows are appended under a lock; existing
-    rows are never mutated, so lock-free reads of already grown rows are safe.
+    """Grow-only triangles of s (``_first``) and S (``_second``), row n holding
+    entries k = 0..n, grown by T(m, k) = T(m-1, k-1) + w*T(m-1, k) from
+    T(0, 0) = 1, with w = -(m-1) for s and w = k for S.  Rows are appended
+    under a lock and never mutated, so lock-free reads of grown rows are safe.
     """
 
     def __init__(self):
@@ -52,54 +54,44 @@ class StirlingCache:
         self._lock = threading.Lock()
 
     def first(self, n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if k < 0 or k > n:
-            return 0
-        if n >= len(self._first):
-            self._grow_first(n)
-        return self._first[n][k]
+        return self._read(self._first, _first_weights, n, k)
 
     def second(self, n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if k < 0 or k > n:
-            return 0
-        if n >= len(self._second):
-            self._grow_second(n)
-        return self._second[n][k]
+        return self._read(self._second, _second_weights, n, k)
 
     def rows(self, n: int) -> tuple[list[list[int]], list[list[int]]]:
         """Both live triangles (first kind, second kind), grown through row n."""
+        return (self._read(self._first, _first_weights, n),
+                self._read(self._second, _second_weights, n))
+
+    def _read(self, table, weights, n, k=None):
+        """Entry (n, k) of ``table``, or with no k the table itself, grown
+        through row n.  An entry outside 0 <= k <= n reads 0 and grows nothing."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if n >= len(self._first):
-            self._grow_first(n)
-        if n >= len(self._second):
-            self._grow_second(n)
-        return self._first, self._second
+        if k is not None and not 0 <= k <= n:
+            return 0
+        if n >= len(table):
+            self._grow(table, weights, n)
+        return table if k is None else table[n][k]
 
-    def _grow_first(self, n):
+    def _grow(self, table, weights, n):
+        """Append rows to ``table`` through row n by the recurrence (class
+        docstring), taking w from ``weights(m)`` for k = 1..m of row m."""
         with self._lock:
-            while len(self._first) <= n:
-                m = len(self._first)
-                prev = self._first[-1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    above = prev[k] if k < m else 0
-                    row[k] = prev[k - 1] - (m - 1) * above
-                self._first.append(row)
+            while len(table) <= n:
+                m = len(table)
+                prev = table[-1] + [0]  # T(m-1, m) = 0
+                table.append([0] + [prev[k - 1] + w * prev[k] for k, w in enumerate(weights(m), 1)])
 
-    def _grow_second(self, n):
-        with self._lock:
-            while len(self._second) <= n:
-                m = len(self._second)
-                prev = self._second[-1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    above = prev[k] if k < m else 0
-                    row[k] = prev[k - 1] + k * above
-                self._second.append(row)
+
+# each kind's weights w for k = 1..m of row m
+def _first_weights(m):
+    return repeat(1 - m, m)
+
+
+def _second_weights(m):
+    return range(1, m + 1)
 
 
 _DEFAULT_CACHE = StirlingCache()

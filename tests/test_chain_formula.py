@@ -147,7 +147,7 @@ def _refuse_stirling_and_partitions(monkeypatch):
                          "stirling_first", "stirling_second", "stirling_rows"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
-    for attr in ("first", "second", "rows", "_grow_first", "_grow_second"):
+    for attr in ("first", "second", "rows", "_grow"):
         monkeypatch.setattr(stirling.StirlingCache, attr, refuse)
 
 

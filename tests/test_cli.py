@@ -156,8 +156,7 @@ def test_corollary_cap_fails_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("Stirling table grown despite the cap")
 
-    monkeypatch.setattr(stirling.StirlingCache, "_grow_first", refuse)
-    monkeypatch.setattr(stirling.StirlingCache, "_grow_second", refuse)
+    monkeypatch.setattr(stirling.StirlingCache, "_grow", refuse)
     n = cli.COROLLARY_MAX_N + 1
     assert cli.main(["coeff", str(n), "1", "--method", "corollary"]) == 2
     assert capsys.readouterr().out == ""
@@ -174,8 +173,7 @@ def test_chain_ceiling_fails_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("chain pass or Stirling table run despite the ceiling")
 
-    monkeypatch.setattr(stirling.StirlingCache, "_grow_first", refuse)
-    monkeypatch.setattr(stirling.StirlingCache, "_grow_second", refuse)
+    monkeypatch.setattr(stirling.StirlingCache, "_grow", refuse)
     monkeypatch.setattr(chain_formula, "kl_chain_rows", refuse)
     n = cli.CHAIN_SUM_MAX_N + 1
     assert cli.main(["coeff", str(n), "3", "--method", "chain", "--chain-max-n", str(n)]) == 2
@@ -292,6 +290,29 @@ def test_compare_methods_takes_a_parsed_namespace(capsys):
     assert (n, i, bad) == (61, 1, [])
     assert [m for m, _ in pairs] == ["recursion", "chain", "corollary", "pxy"]
     assert capsys.readouterr().err == "warning: chain sum above n=60 may be slow\n"
+
+
+def test_chain_answers_sparse_cells_outside_one_pass(monkeypatch, capsys):
+    # one pass at the largest n and i keeps only rows m <= 2i + 3 and m = n;
+    # any other cell is answered by its own pass
+    args = cli.build_parser().parse_args(["coeff", "2", "0", "--chain-max-n", "100"])
+    for n, i, pairs, bad in cli.compare_methods([(50, 1), (100, 1)], args):
+        assert ("chain", kl_recursion.kl_coeff(n, i)) in pairs and bad == [], (n, i)
+    assert capsys.readouterr().err == "warning: chain sum above n=60 may be slow\n"
+    assert cli._answers("chain", [(9, 1), (12, 1)]) == [kl_recursion.kl_coeff(9, 1),
+                                                        kl_recursion.kl_coeff(12, 1)]
+    # a table's cells all lie in the one pass
+    passes = []
+    real_rows = chain_formula.kl_chain_rows
+
+    def counting(n, top):
+        passes.append((n, top))
+        return real_rows(n, top)
+
+    monkeypatch.setattr(chain_formula, "kl_chain_rows", counting)
+    assert cli.main(["table", "--max-n", "40", "--all-methods", "--chain-max-n", "40"]) == 0
+    assert len(passes) == 1
+    capsys.readouterr()
 
 
 # sha256 of the stdout of plain `table --max-n 100`, whose cells the recursion

@@ -66,6 +66,19 @@ def test_out_of_triangle_is_zero():
         stirling_second(-1, 0)
 
 
+def test_out_of_triangle_reads_grow_nothing():
+    # one bounds rule for both kinds: outside 0 <= k <= n reads 0 without
+    # growing either triangle past row 0; a negative n raises
+    cache = StirlingCache()
+    for read in (cache.first, cache.second):
+        assert read(5, 9) == 0
+        assert read(5, -1) == 0
+    assert len(cache._first) == len(cache._second) == 1
+    for call in (lambda: cache.first(-1, 0), lambda: cache.second(-1, 0), lambda: cache.rows(-1)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_first_kind_row_sums():
     # sum_k s(n,k) x^k at x = 1 is the falling factorial 1*0*... = 0 for n >= 2
     for n in range(2, 12):

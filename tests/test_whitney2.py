@@ -78,12 +78,12 @@ def test_kl_c1_degenerate_prefix():
 
 
 def test_pxy_default_reading_matches_recursion():
-    # whole rows of a fresh table
+    # whole rows of a fresh table through n = 150, all 5,476 cells in one call
     table = KLTable()
-    for n in range(4, 61):
-        row = table.poly(n)
-        for i in range(1, (n - 2) // 2 + 1):
-            assert kl_coeff_via_pxy(n, i) == row.coeff(i), (n, i)
+    cells = [(n, i) for n in range(4, 151) for i in range(1, (n - 2) // 2 + 1)]
+    assert len(cells) == 5_476
+    for (n, i), c in zip(cells, kl_coeffs_via_pxy(cells)):
+        assert c == table.poly(n).coeff(i), (n, i)
 
 
 def _pxy_by_enumeration(n, i):
