@@ -36,8 +36,8 @@ DEFAULT_CHAIN_MAX_N = 60
 CHAIN_SUM_MAX_N = 500
 # The recursion checks each coefficient against the defining identity, which
 # grows both Stirling triangles to row n and costs about n^4 products, in the
-# chain sum: a cold `poly 100` took 0.42-0.61 s of CPU and 16 MB in 5 fresh
-# processes on a 2-core host, `kl_braid_poly(120)` 0.79-1.45 s in 5.
+# chain sum: a cold `poly 100` took 0.31-0.54 s of CPU and 16 MB in 5 fresh
+# processes on a 2-core host, `kl_braid_poly(120)` 0.59-0.73 s in 5.
 RECURSION_MAX_N = 100
 # The corollary grows both Stirling triangles to row n: n = 500 took 0.47 s
 # of CPU and 69 MB on a 2-core host, n = 1000 took 1.7 s and 441 MB.

@@ -36,7 +36,7 @@ entry formed once from that definition, so the memo fills bottom-up in n
 and an entry costs O(n) multiplications, with no partition or polynomial
 product.  The second is the chain sum, ``chain_sum``, O(k^2) Stirling
 products per entry and so O(n^4) per table, most of a fill's time: a cold
-fill to row 130 took 1.1-2.2 s of CPU in-process on a 2-core host (5 fresh
+fill to row 130 took 0.83-0.88 s of CPU in-process on a 2-core host (5 fresh
 processes).  The chain method steps the same weights as coefficients of B
 near its top, from no Stirling number (``chain_formula``).
 
@@ -59,7 +59,6 @@ where m(lam) counts set partitions of shape lam.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -154,7 +153,7 @@ class KLTable:
             z.append(sum(row[r - d] * coeff(r - d, k - d) for d in range(k + 1)))
         row = s[m]
         low = -rest - sum(row[r] * z[r] for r in range(k + 1, m))
-        high = chain_sum(m, k, coeff)
+        high = chain_sum(m, k, self._rows)
         if not c == low == high:
             raise InternalConsistencyError(
                 f"Z-polynomial diagonal failed the defining identity at n={m}, i={k}: "
@@ -165,19 +164,22 @@ class KLTable:
         return c
 
 
-def chain_sum(n: int, i: int, coeff: Callable[[int, int], int]) -> int:
-    """C_{n,i} = sum_{l,xi} s(n, a+l) * S(a+l, l) * coeff(l, xi), a = n-1-i-xi,
-    for 0 <= i < (n-1)/2; coeff(l, xi) reads C_{l,xi} and is 1 at xi = 0.
-    A term needs a <= n-l, so xi >= l-1-i, and for l >= 2, C_{l,xi} = 0 past
+def chain_sum(n: int, i: int, rows: list[list[int]]) -> int:
+    """C_{n,i} = sum_{l,xi} s(n, a+l) * S(a+l, l) * rows[l][xi], a = n-1-i-xi,
+    for 0 <= i < (n-1)/2, with rows[l] = [C_{l,0}, C_{l,1}, ...].  A term
+    needs a <= n-l, so xi >= l-1-i, and for l >= 2, C_{l,xi} = 0 past
     xi = (l-2)/2, so l <= 2i: O(i^2) Stirling products.  At larger i a term
-    with a < 0 has S(a+l, l) = 0 and is skipped, so xi < n-i."""
+    with a < 0 has S(a+l, l) = 0 and is skipped, so xi < n-i.  Only xi = 0 at
+    l = 1 and xi <= (l-2)/2 < i at l >= 2 are read, each stored by a fill
+    through C_{n,i}, so no index leaves its row."""
     s, S = stirling_rows(n)
     first = s[n]
     value = 0
     for l in range(1, max(1, 2 * i) + 1):
+        row = rows[l]
         for xi in range(max(0, l - 1 - i), min(max(1, l // 2), n - i)):
             total = n - 1 - i - xi + l
-            value += first[total] * S[total][l] * coeff(l, xi)
+            value += first[total] * S[total][l] * row[xi]
     return value
 
 

@@ -127,14 +127,42 @@ def test_degree_one_chain_values_match_closed_form():
         assert kl_coeff_via_chains(n, 1) == 2 ** (n - 1) - 1 - n * (n - 1) // 2
 
 
+# every cell from the degree bound (n-1)/2 to n-2, for n <= 40
+VANISHING_CELLS = [(n, i) for n in range(2, 41) for i in range(n // 2, n - 1)]
+
+
 def test_chain_sum_vanishes_above_the_degree_bound():
     # the paper's identities between Stirling numbers of the first and the
     # second kind: the chain sum is 0 at every i from the degree bound
     # (n-1)/2 to n-2, with each C_{l,xi} read from the recursion
-    cells = [(n, i) for n in range(2, 41) for i in range(n // 2, n - 1)]
-    assert len(cells) == 380
-    for n, i in cells:
-        assert kl_recursion.chain_sum(n, i, kl_coeff) == 0, (n, i)
+    assert len(VANISHING_CELLS) == 380
+    # from one fresh table's rows; the sum reads rows l <= 2i <= 76
+    table = KLTable()
+    table.poly(76)
+    for n, i in VANISHING_CELLS:
+        assert kl_recursion.chain_sum(n, i, table._rows) == 0, (n, i)
+
+
+class _BoundedRow(tuple):
+    """A row that refuses every index outside 0..len-1, negative ones too."""
+
+    def __getitem__(self, k):
+        if not 0 <= k < len(self):
+            raise AssertionError(f"chain_sum read index {k} of a row of {len(self)}")
+        return super().__getitem__(k)
+
+
+def test_chain_sum_reads_only_stored_entries():
+    # the sum reads xi = 0 at l = 1 and xi <= (l-2)/2 at l >= 2, inside each
+    # row as stored; a plain list would wrap a negative index silently
+    table = KLTable()
+    table.poly(76)
+    rows = [_BoundedRow(row) for row in table._rows]
+    for n in range(4, 61):
+        for i in range(1, (n - 2) // 2 + 1):
+            assert kl_recursion.chain_sum(n, i, rows) == table.poly(n).coeff(i), (n, i)
+    for n, i in VANISHING_CELLS:
+        assert kl_recursion.chain_sum(n, i, rows) == 0, (n, i)
 
 
 def _refuse_stirling_and_partitions(monkeypatch):
@@ -200,7 +228,7 @@ def test_chain_sum_walks_only_heads_that_exist(monkeypatch):
         return range(*args)
 
     monkeypatch.setattr(kl_recursion, "range", counting, raising=False)
-    assert kl_recursion.chain_sum(300, 3, table._coeff) == expected
+    assert kl_recursion.chain_sum(300, 3, table._rows) == expected
     assert 0 < len(calls) < 40
 
 

@@ -601,10 +601,13 @@ def test_chain_fault_matrix(monkeypatch, fault):
     else:
         real_sum = kl_recursion.chain_sum
 
-        def dropping(n, i, coeff):
+        def dropping(n, i, rows):
             if (n, i) != (row, col):
-                return real_sum(n, i, coeff)
-            return real_sum(n, i, lambda l, x: 0 if [l, x] == rest else coeff(l, x))
+                return real_sum(n, i, rows)
+            l, xi = rest
+            dropped = [list(r) for r in rows]
+            dropped[l][xi] = 0
+            return real_sum(n, i, dropped)
 
         monkeypatch.setattr(kl_recursion, "chain_sum", dropping)
     table = KLTable()
